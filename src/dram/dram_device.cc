@@ -74,14 +74,6 @@ DramDevice::DramDevice(const DramGeometry &geometry, const TimingParams &tp,
         ranks_.emplace_back(geom_.rows, tp_, geom_);
 }
 
-const BankState &
-DramDevice::bank(RankId rank, BankId bank_idx) const
-{
-    nuat_assert(rank.value() < ranks_.size() &&
-                bank_idx.value() < geom_.banks);
-    return ranks_[rank.value()].banks[bank_idx.value()];
-}
-
 BankState &
 DramDevice::bankRef(RankId rank, BankId bank_idx)
 {
@@ -102,14 +94,6 @@ DramDevice::refresh(RankId rank_idx) const
 {
     nuat_assert(rank_idx.value() < ranks_.size());
     return ranks_[rank_idx.value()].engines.front();
-}
-
-const RefreshEngine &
-DramDevice::refreshFor(RankId rank_idx, BankId bank_idx) const
-{
-    nuat_assert(rank_idx.value() < ranks_.size() &&
-                bank_idx.value() < geom_.banks);
-    return ranks_[rank_idx.value()].engineFor(bank_idx);
 }
 
 Cycle

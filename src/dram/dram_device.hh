@@ -23,6 +23,7 @@
 #include "charge/timing_derate.hh"
 #include "command.hh"
 #include "command_observer.hh"
+#include "common/logging.hh"
 #include "common/thread_annotations.hh"
 #include "common/types.hh"
 #include "common/units.hh"
@@ -139,7 +140,13 @@ class DramDevice
     IssueResult issue(const Command &cmd, Cycle now);
 
     /** Bank state accessor. */
-    const BankState &bank(RankId rank, BankId bank_idx) const;
+    const BankState &
+    bank(RankId rank, BankId bank_idx) const
+    {
+        nuat_assert(rank.value() < ranks_.size() &&
+                    bank_idx.value() < geom_.banks);
+        return ranks_[rank.value()].banks[bank_idx.value()];
+    }
 
     /** Rank state accessor. */
     const RankState &rank(RankId rank_idx) const;
@@ -152,8 +159,13 @@ class DramDevice
     const RefreshEngine &refresh(RankId rank_idx = RankId{0}) const;
 
     /** The refresh engine owning (@p rank_idx, @p bank_idx)'s rows. */
-    const RefreshEngine &refreshFor(RankId rank_idx,
-                                    BankId bank_idx) const;
+    const RefreshEngine &
+    refreshFor(RankId rank_idx, BankId bank_idx) const
+    {
+        nuat_assert(rank_idx.value() < ranks_.size() &&
+                    bank_idx.value() < geom_.banks);
+        return ranks_[rank_idx.value()].engineFor(bank_idx);
+    }
 
     /** Earliest next refresh deadline across @p rank_idx's engines. */
     Cycle nextRefreshDueAt(RankId rank_idx) const;

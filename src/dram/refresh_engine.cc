@@ -28,14 +28,11 @@ RefreshEngine::RefreshEngine(std::uint32_t rows, const TimingParams &tp,
     // freshest.  At d == interval this is the classic schedule (last
     // group refreshed exactly at cycle 0).
     const std::uint32_t groups = rows_ / rowsPerRef_;
-    lastRefreshAt_.resize(rows_);
+    lastRefreshAt_.resize(groups);
     for (std::uint32_t g = 0; g < groups; ++g) {
-        const std::int64_t at =
-            static_cast<std::int64_t>(first_due_at) -
-            static_cast<std::int64_t>(groups - g) *
-                static_cast<std::int64_t>(interval_);
-        for (unsigned r = 0; r < rowsPerRef_; ++r)
-            lastRefreshAt_[g * rowsPerRef_ + r] = at;
+        lastRefreshAt_[g] = static_cast<std::int64_t>(first_due_at) -
+                            static_cast<std::int64_t>(groups - g) *
+                                static_cast<std::int64_t>(interval_);
     }
     nextRow_ = 0;
     nextDueAt_ = first_due_at;
@@ -44,10 +41,8 @@ RefreshEngine::RefreshEngine(std::uint32_t rows, const TimingParams &tp,
 void
 RefreshEngine::performRefresh(Cycle now)
 {
-    for (unsigned r = 0; r < rowsPerRef_; ++r) {
-        lastRefreshAt_[(nextRow_ + r) % rows_] =
-            static_cast<std::int64_t>(now);
-    }
+    // nextRow_ only ever advances by whole groups from row 0.
+    lastRefreshAt_[nextRow_ / rowsPerRef_] = static_cast<std::int64_t>(now);
     if (now < nextDueAt_)
         ++pulledIn_;
     else if (now > nextDueAt_)
@@ -61,7 +56,7 @@ std::int64_t
 RefreshEngine::lastRefreshAt(RowId row) const
 {
     nuat_assert(row.value() < rows_);
-    return lastRefreshAt_[row.value()];
+    return lastRefreshAt_[row.value() / rowsPerRef_];
 }
 
 Nanoseconds

@@ -151,6 +151,8 @@ class RefreshEngine
     std::uint64_t refreshesDone_ = 0;
     std::uint64_t pulledIn_ = 0;
     std::uint64_t postponed_ = 0;
+    /** Ground truth, one entry per aligned group of rowsPerRef_ rows
+     *  (a REF always refreshes exactly one whole group). */
     std::vector<std::int64_t> lastRefreshAt_;
 };
 

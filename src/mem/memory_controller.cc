@@ -106,9 +106,7 @@ MemoryController::MemoryController(DramDevice &dev,
     demand_.reset(ranks, banks);
     readQ_.attachDemandTracker(&demand_);
     writeQ_.attachDemandTracker(&demand_);
-    actSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
-    actSeenRow_.assign(static_cast<std::size_t>(ranks) * banks, kNoRow);
-    preSeenEpoch_.assign(static_cast<std::size_t>(ranks) * banks, 0);
+    slots_.resize(static_cast<std::size_t>(ranks) * banks);
 
     // Out-of-order refresh policies only exist on the REFsb substrate;
     // under all-bank REF the config knob degenerates to in-order.
@@ -224,6 +222,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
     req->arrivalAt = now;
     req->waiters.push_back(waiter);
     readQ_.push(std::move(req));
+    noteDemandChange(c.rank, c.bank);
 }
 
 void
@@ -251,6 +250,7 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     req->col = c.col;
     req->arrivalAt = now;
     writeQ_.push(std::move(req));
+    noteDemandChange(c.rank, c.bank);
 }
 
 void
@@ -274,12 +274,17 @@ MemoryController::processCompletions(Cycle now)
 bool
 MemoryController::handleRefresh(Cycle now)
 {
+    if (wantingBanks_ == 0)
+        return false;
     if (dev_.timing().refreshMode == RefreshMode::kPerBank)
         return handlePerBankRefresh(now);
 
+    const unsigned banks = dev_.geometry().banks;
     for (unsigned r = 0; r < dev_.geometry().ranks; ++r) {
         const RankId rank{r};
-        if (!dev_.refresh(rank).due(now))
+        // All banks of the rank share its one engine: bank 0's verdict
+        // is the rank's.
+        if (!slots_[r * banks].wantRefresh)
             continue;
 
         Command ref;
@@ -287,13 +292,14 @@ MemoryController::handleRefresh(Cycle now)
         ref.rank = rank;
         if (dev_.canIssue(ref, now)) {
             dev_.issue(ref, now);
+            verdictsUntil_ = 0; // the rank's schedule moved on
             NUAT_METRIC(if (metrics_) metrics_->cmdRef->inc());
             scheduler_->onIssue(ref, makeContext(now));
             return true;
         }
 
         // Drain open banks with forced precharges so REF can proceed.
-        for (unsigned b = 0; b < dev_.geometry().banks; ++b) {
+        for (unsigned b = 0; b < banks; ++b) {
             const BankId bank{b};
             if (dev_.bank(rank, bank).isClosed())
                 continue;
@@ -327,6 +333,7 @@ MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now)
     refsb.bank = bank;
     if (dev_.canIssue(refsb, now)) {
         dev_.issue(refsb, now);
+        verdictsUntil_ = 0; // the bank's schedule moved on
         NUAT_METRIC(if (metrics_) metrics_->cmdRefsb->inc());
         scheduler_->onIssue(refsb, makeContext(now));
         return true;
@@ -385,6 +392,94 @@ MemoryController::wantRefresh(RankId rank, BankId bank, Cycle now) const
     return eng.canPullIn(now) && readQ_.size() + writeQ_.size() != 0;
 }
 
+void
+MemoryController::fillVerdict(RankId rank, BankId bank, Cycle now)
+{
+    BankSlot &s =
+        slots_[rank.value() * dev_.geometry().banks + bank.value()];
+    wantingBanks_ -= s.wantRefresh;
+    s.refreshForced = policy_ != RefreshPolicy::kInOrder &&
+                      refreshForced(rank, bank, now);
+    s.wantRefresh = wantRefresh(rank, bank, now);
+    s.verdictStale = false;
+    wantingBanks_ += s.wantRefresh;
+
+    // The cycle-driven inputs: each threshold still ahead flips one
+    // comparison in wantRefresh/refreshForced when the cycle reaches
+    // it.  Thresholds already passed stay passed until a refresh moves
+    // the schedule, which refills every bank anyway.
+    const RefreshEngine &eng = dev_.refreshFor(rank, bank);
+    auto ahead = [&](Cycle at) {
+        if (at > now && at < verdictsUntil_)
+            verdictsUntil_ = at;
+    };
+    ahead(eng.nextDueAt());
+    if (policy_ != RefreshPolicy::kInOrder) {
+        ahead(eng.deadlineAt() - forceMargin_);
+        ahead(eng.earliestIssueAt());
+    }
+}
+
+void
+MemoryController::refreshVerdicts(Cycle now)
+{
+    const unsigned ranks = dev_.geometry().ranks;
+    const unsigned banks = dev_.geometry().banks;
+    const bool all = now >= verdictsUntil_;
+    if (!all && !verdictsStale_)
+        return;
+    if (all)
+        verdictsUntil_ = kNeverCycle;
+    for (unsigned r = 0; r < ranks; ++r) {
+        for (unsigned b = 0; b < banks; ++b) {
+            if (all || slots_[r * banks + b].verdictStale)
+                fillVerdict(RankId{r}, BankId{b}, now);
+        }
+    }
+    verdictsStale_ = false;
+}
+
+void
+MemoryController::noteDemandChange(RankId rank, BankId bank)
+{
+    // Only DARP/SARP verdicts read demand, and only as "bank has any"
+    // and "either queue has any": a change that cannot flip either
+    // leaves the cache exact.
+    if (policy_ == RefreshPolicy::kInOrder)
+        return;
+    if (readQ_.size() + writeQ_.size() <= 1) {
+        verdictsUntil_ = 0; // queue emptiness may have flipped
+    } else if (demand_.bankDemand(rank, bank) <= 1) {
+        slots_[rank.value() * dev_.geometry().banks + bank.value()]
+            .verdictStale = true;
+        verdictsStale_ = true;
+    }
+}
+
+void
+MemoryController::checkVerdicts(Cycle now) const
+{
+    unsigned wanting = 0;
+    const unsigned banks = dev_.geometry().banks;
+    for (unsigned r = 0; r < dev_.geometry().ranks; ++r) {
+        for (unsigned b = 0; b < banks; ++b) {
+            const RankId rank{r};
+            const BankId bank{b};
+            const BankSlot &s = slots_[r * banks + b];
+            nuat_assert(s.wantRefresh == wantRefresh(rank, bank, now),
+                        "(stale refresh verdict: rank %u bank %u at "
+                        "cycle %llu)",
+                        r, b, static_cast<unsigned long long>(now));
+            nuat_assert(policy_ == RefreshPolicy::kInOrder ||
+                            s.refreshForced ==
+                                refreshForced(rank, bank, now),
+                        "(stale forced verdict: rank %u bank %u)", r, b);
+            wanting += s.wantRefresh;
+        }
+    }
+    nuat_assert(wanting == wantingBanks_);
+}
+
 bool
 MemoryController::handlePerBankRefresh(Cycle now)
 {
@@ -394,36 +489,22 @@ MemoryController::handlePerBankRefresh(Cycle now)
     const unsigned ranks = dev_.geometry().ranks;
     const unsigned banks = dev_.geometry().banks;
 
-    if (policy_ == RefreshPolicy::kInOrder) {
-        for (unsigned r = 0; r < ranks; ++r) {
-            const RankId rank{r};
-            for (unsigned b = 0; b < banks; ++b) {
-                const BankId bank{b};
-                if (!dev_.refreshFor(rank, bank).due(now))
-                    continue;
-                if (tryRefreshBank(rank, bank, now))
-                    return true;
-                // Keep scanning: another bank may be issuable now.
-            }
-        }
-        return false;
-    }
-
-    // Out-of-order (DARP/SARP): deadline-critical banks first — they
-    // can no longer be deferred, so they must not lose the slot to an
-    // opportunistic pull-in elsewhere.  Then everything else the
-    // policy approves (due idle banks, pull-ins).
+    // In order: every due bank in (rank, bank) order.  Out-of-order
+    // (DARP/SARP): deadline-critical banks first — they can no longer
+    // be deferred, so they must not lose the slot to an opportunistic
+    // pull-in elsewhere.  Then everything else the policy approves
+    // (due idle banks, pull-ins).  kInOrder never sets refreshForced,
+    // so its first pass finds nothing.
     for (int pass = 0; pass < 2; ++pass) {
         for (unsigned r = 0; r < ranks; ++r) {
-            const RankId rank{r};
             for (unsigned b = 0; b < banks; ++b) {
-                const BankId bank{b};
-                const bool forced = refreshForced(rank, bank, now);
-                if (pass == 0 ? !forced
-                              : (forced || !wantRefresh(rank, bank, now)))
+                const BankSlot &s = slots_[r * banks + b];
+                if (pass == 0 ? !s.refreshForced
+                              : (s.refreshForced || !s.wantRefresh))
                     continue;
-                if (tryRefreshBank(rank, bank, now))
+                if (tryRefreshBank(RankId{r}, BankId{b}, now))
                     return true;
+                // Keep scanning: another bank may be issuable now.
             }
         }
     }
@@ -437,70 +518,110 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
 
     const unsigned banks = dev_.geometry().banks;
 
-    // Per-(bank,row) demand counts come from the incrementally
-    // maintained tracker (updated on queue push/remove).  Used both to
-    // suppress precharges of rows with pending hits (FR-FCFS
-    // semantics; NUAT's HIT element agrees) and to tell close-page
-    // policies whether a column access is the row's last pending one.
-    auto demandFor = [&](RankId rank, BankId bank, RowId row) -> unsigned {
-        return demand_.demandFor(rank, bank, row);
-    };
-
-    // Dedup masks: one ACT candidate per (bank,row), one PRE per bank.
-    // The persistent flat arrays are epoch-tagged, so advancing the
-    // epoch invalidates every slot without touching memory.
+    // The per-bank memo below lives for this enumeration only:
+    // advancing the epoch invalidates every slot without touching
+    // memory.  Within one enumeration nothing issues and no queue
+    // changes, so a bank's legality per command kind and its open
+    // row's demand are fixed; canIssue does not depend on the row or
+    // column, so every request to the bank shares the answer.
     ++enumEpoch_;
     const std::uint64_t epoch = enumEpoch_;
 
     const RowTiming nominal{dev_.timing().tRCD, dev_.timing().tRAS,
                             dev_.timing().tRC};
 
-    auto addForRequest = [&](Request *req) {
-        if (wantRefresh(req->rank, req->bank, now))
-            return; // rank (or this bank) is draining for refresh
-        const BankState &b = dev_.bank(req->rank, req->bank);
-        const std::size_t flat =
-            req->rank.value() * banks + req->bank.value();
-        Candidate cand;
-        cand.req = req;
-        cand.isWrite = req->isWrite;
-        cand.cmd.rank = req->rank;
-        cand.cmd.bank = req->bank;
+    // The command @p req needs next, of the given kind.
+    auto commandFor = [&](const Request &req, LegalKind kind) {
+        Command cmd;
+        cmd.rank = req.rank;
+        cmd.bank = req.bank;
+        switch (kind) {
+          case kLegalAct:
+            cmd.type = CmdType::kAct;
+            cmd.row = req.row;
+            cmd.actTiming = nominal;
+            break;
+          case kLegalRead:
+          case kLegalWrite:
+            cmd.type = kind == kLegalWrite ? CmdType::kWrite
+                                           : CmdType::kRead;
+            cmd.col = req.col;
+            cmd.row = req.row;
+            break;
+          case kLegalPre:
+            cmd.type = CmdType::kPre;
+            break;
+        }
+        return cmd;
+    };
 
+    auto legal = [&](BankSlot &s, const Request &req, LegalKind kind) {
+        const auto bit = static_cast<std::uint8_t>(1u << kind);
+        if (!(s.legalKnown & bit)) {
+            s.legalKnown |= bit;
+            if (dev_.canIssue(commandFor(req, kind), now))
+                s.legalOk |= bit;
+        }
+        return (s.legalOk & bit) != 0;
+    };
+
+    // Queued requests on the bank's open row, from the incrementally
+    // maintained tracker (updated on queue push/remove).  Used both to
+    // suppress precharges of rows with pending hits (FR-FCFS
+    // semantics; NUAT's HIT element agrees) and to tell close-page
+    // policies whether a column access is the row's last pending one.
+    auto openRowDemand = [&](BankSlot &s, const Request &req, RowId open) {
+        if (!s.openRowDemandKnown) {
+            s.openRowDemand = demand_.demandFor(req.rank, req.bank, open);
+            s.openRowDemandKnown = true;
+        }
+        return s.openRowDemand;
+    };
+
+    auto addForRequest = [&](Request *req) {
+        BankSlot &s = slots_[req->rank.value() * banks + req->bank.value()];
+        if (s.wantRefresh)
+            return; // rank (or this bank) is draining for refresh
+        if (s.epoch != epoch) {
+            s.epoch = epoch;
+            s.preSeen = false;
+            s.legalKnown = 0;
+            s.legalOk = 0;
+            s.actSeenRow = kNoRow;
+            s.openRowDemandKnown = false;
+        }
+        const BankState &b = dev_.bank(req->rank, req->bank);
+        LegalKind kind;
         if (b.openRow() == req->row) {
-            cand.cmd.type =
-                req->isWrite ? CmdType::kWrite : CmdType::kRead;
-            cand.cmd.col = req->col;
-            cand.cmd.row = req->row;
-            cand.isRowHit = true;
-            cand.morePendingToRow =
-                demandFor(req->rank, req->bank, req->row) > 1;
-            if (dev_.canIssue(cand.cmd, now))
-                out.push_back(cand);
+            kind = req->isWrite ? kLegalWrite : kLegalRead;
         } else if (b.isClosed()) {
-            if (actSeenEpoch_[flat] == epoch &&
-                actSeenRow_[flat] == req->row)
+            // One ACT candidate per (bank, row) run.
+            if (s.actSeenRow == req->row)
                 return;
-            cand.cmd.type = CmdType::kAct;
-            cand.cmd.row = req->row;
-            cand.cmd.actTiming = nominal;
-            if (dev_.canIssue(cand.cmd, now)) {
-                actSeenEpoch_[flat] = epoch;
-                actSeenRow_[flat] = req->row;
-                out.push_back(cand);
-            }
+            kind = kLegalAct;
         } else {
             // Row conflict: precharge, unless the open row still has
             // pending hits or a PRE candidate already exists.
-            if (preSeenEpoch_[flat] == epoch ||
-                demandFor(req->rank, req->bank, b.openRow()) > 0)
+            if (s.preSeen || openRowDemand(s, *req, b.openRow()) > 0)
                 return;
-            cand.cmd.type = CmdType::kPre;
-            if (dev_.canIssue(cand.cmd, now)) {
-                preSeenEpoch_[flat] = epoch;
-                out.push_back(cand);
-            }
+            kind = kLegalPre;
         }
+        if (!legal(s, *req, kind))
+            return;
+
+        Candidate cand;
+        cand.cmd = commandFor(*req, kind);
+        cand.req = req;
+        cand.isWrite = req->isWrite;
+        if (kind == kLegalAct) {
+            s.actSeenRow = req->row;
+        } else if (kind == kLegalPre) {
+            s.preSeen = true;
+        } else {
+            cand.isRowHit = true;
+            cand.morePendingToRow = openRowDemand(s, *req, req->row) > 1;
+        }
+        out.push_back(cand);
     };
 
     for (const auto &req : readQ_)
@@ -546,6 +667,7 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
       case CmdType::kRead:
       case CmdType::kReadAp: {
         std::unique_ptr<Request> req = readQ_.remove(cand.req);
+        noteDemandChange(req->rank, req->bank);
         ++stats_.readsCompleted;
         stats_.readLatencySum +=
             static_cast<double>(result.dataAt - req->arrivalAt);
@@ -568,6 +690,7 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
       case CmdType::kWrite:
       case CmdType::kWriteAp: {
         std::unique_ptr<Request> req = writeQ_.remove(cand.req);
+        noteDemandChange(req->rank, req->bank);
         NUAT_METRIC(if (metrics_) {
             (cand.cmd.type == CmdType::kWriteAp ? metrics_->cmdWriteAp
                                                 : metrics_->cmdWrite)
@@ -600,6 +723,10 @@ MemoryController::tick(Cycle now)
     processCompletions(now);
     scheduler_->tick(makeContext(now));
 
+    refreshVerdicts(now);
+#ifndef NDEBUG
+    checkVerdicts(now);
+#endif
     if (handleRefresh(now))
         return;
 

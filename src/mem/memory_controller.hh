@@ -17,6 +17,7 @@
 #ifndef NUAT_MEM_MEMORY_CONTROLLER_HH
 #define NUAT_MEM_MEMORY_CONTROLLER_HH
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -230,7 +231,8 @@ class MemoryController : public MemoryPort
     void processCompletions(Cycle now);
 
     /** Try to advance a due refresh; true if a command slot was used
-     *  (or must stay reserved) for refresh this cycle. */
+     *  (or must stay reserved) for refresh this cycle.  Reads the
+     *  cached verdicts (refreshVerdicts must have run this tick). */
     bool handleRefresh(Cycle now);
 
     /** handleRefresh body for per-bank (REFsb) mode: drains and
@@ -244,15 +246,40 @@ class MemoryController : public MemoryPort
      * (RefreshEngine::due); DARP/SARP defer a due refresh while the
      * bank has queued demand (until the postponement deadline nears)
      * and pull one forward when the bank is idle but the controller is
-     * busy elsewhere.  Both handlePerBankRefresh (issue side) and
-     * enumerate (candidate suppression side) consult this, so a bank
-     * that owes a refresh quiesces and one that doesn't keeps serving.
+     * busy elsewhere.  This is the single definition of the policy;
+     * handleRefresh and enumerate read it through the per-bank cache
+     * that refreshVerdicts fills, so a bank that owes a refresh
+     * quiesces and one that doesn't keeps serving.
      */
     bool wantRefresh(RankId rank, BankId bank, Cycle now) const;
 
     /** True when (rank, bank)'s postponement window is nearly spent
      *  and its refresh can no longer be deferred. */
     bool refreshForced(RankId rank, BankId bank, Cycle now) const;
+
+    /**
+     * Bring the cached refresh verdicts up to date for @p now.  A
+     * verdict is a function of the cycle's position against the
+     * engine's thresholds (nextDueAt; under DARP/SARP also
+     * deadlineAt - forceMargin_ and earliestIssueAt), of whether the
+     * bank has queued demand and of whether both queues are empty.  So
+     * every bank is refilled once the cycle reaches the earliest
+     * threshold still ahead or after a REF/REFsb issues, and a single
+     * bank is refilled after a queue change flips its demand; between
+     * those events the cache is exact.
+     */
+    void refreshVerdicts(Cycle now);
+
+    /** Recompute (rank, bank)'s verdict into its slot at @p now. */
+    void fillVerdict(RankId rank, BankId bank, Cycle now);
+
+    /** Record that a request for (rank, bank) entered or left a queue
+     *  (an input to the DARP/SARP verdicts). */
+    void noteDemandChange(RankId rank, BankId bank);
+
+    /** Debug builds: panic unless every cached verdict equals a fresh
+     *  wantRefresh()/refreshForced() at @p now. */
+    void checkVerdicts(Cycle now) const;
 
     /** Try to advance (rank, bank)'s refresh: REFsb if legal, else a
      *  forced PRE on its open row.  True if a command was issued. */
@@ -310,13 +337,49 @@ class MemoryController : public MemoryPort
     /** Row demand over both queues, maintained on push/remove. */
     RowDemandTracker demand_;
 
-    // Persistent per-(rank,bank) dedup masks for enumerate().  Epoch
-    // tagging (a slot is valid only when its epoch matches the current
-    // enumeration's) avoids clearing ranks*banks entries every cycle.
-    std::vector<std::uint64_t> actSeenEpoch_;
-    std::vector<RowId> actSeenRow_;
-    std::vector<std::uint64_t> preSeenEpoch_;
+    /** Command kinds whose legality enumerate memoizes per bank. */
+    enum LegalKind : std::uint8_t
+    {
+        kLegalAct,
+        kLegalRead,
+        kLegalWrite,
+        kLegalPre,
+    };
+
+    /**
+     * Everything the controller keeps per (rank, bank), indexed
+     * rank * banks + bank, in one vector so construction allocates
+     * once.
+     */
+    struct BankSlot
+    {
+        // Refresh verdict cache (refreshVerdicts).
+        bool wantRefresh = false;   //!< wantRefresh() at the last fill
+        bool refreshForced = false; //!< refreshForced() at the last fill
+        bool verdictStale = false;  //!< demand flipped since the fill
+
+        // Per-enumeration state, valid only while epoch == enumEpoch_
+        // (advancing the epoch invalidates every slot without touching
+        // memory; the first touch in a new epoch resets these).
+        bool preSeen = false;        //!< a PRE candidate was added
+        std::uint8_t legalKnown = 0; //!< LegalKind bits evaluated
+        std::uint8_t legalOk = 0;    //!< LegalKind bits: canIssue
+        RowId actSeenRow = kNoRow;   //!< row of the last ACT added
+        unsigned openRowDemand = 0;  //!< demandFor(open row), if known
+        bool openRowDemandKnown = false;
+        std::uint64_t epoch = 0;
+    };
+
+    std::vector<BankSlot> slots_;
     std::uint64_t enumEpoch_ = 0;
+
+    /** Cached verdicts hold for cycles < verdictsUntil_ (0 forces a
+     *  full refill at the next tick). */
+    Cycle verdictsUntil_ = 0;
+    /** Some slot has verdictStale set. */
+    bool verdictsStale_ = false;
+    /** Banks whose cached verdict is "wants refresh". */
+    unsigned wantingBanks_ = 0;
 };
 
 } // namespace nuat

@@ -330,15 +330,17 @@ runServe(const ServeConfig &cfg)
     // charge-model state is ever shared across threads.
     std::vector<ShardState> shards(cfg.shards);
     for (auto &s : shards) {
-        s.derate = std::make_unique<TimingDerate>(sense_amp, nominal);
+        s.derate = std::make_unique<TimingDerate>(sense_amp, nominal,
+                                                  exp.memClock());
         s.dev = std::make_unique<DramDevice>(chan_geom, exp.timing,
-                                             *s.derate);
+                                             *s.derate, exp.memClock());
         s.ctrl = std::make_unique<MemoryController>(
             *s.dev, makeSchedulerFor(exp, *s.derate), ctrl_cfg);
         if (exp.audit) {
             AuditorConfig acfg;
             acfg.geometry = chan_geom;
             acfg.timing = exp.timing;
+            acfg.clock = exp.memClock();
             acfg.derate = s.derate.get();
             acfg.maxMessages = exp.auditMaxMessages;
             s.auditor = std::make_unique<ProtocolAuditor>(acfg);

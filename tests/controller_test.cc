@@ -1,7 +1,8 @@
 /**
  * @file
  * Memory-controller tests: end-to-end request timing, merging,
- * forwarding, coalescing, refresh forcing, and statistics.
+ * forwarding, coalescing, refresh forcing, the cached DARP refresh
+ * verdicts, and statistics.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "charge/timing_derate.hh"
+#include "dram/dram_spec.hh"
 #include "mem/memory_controller.hh"
 #include "sched/frfcfs_scheduler.hh"
 
@@ -207,6 +209,64 @@ TEST_F(ControllerTest, IdleWhenDrained)
     EXPECT_FALSE(mc_->idle());
     drain();
     EXPECT_TRUE(mc_->idle());
+}
+
+TEST(ControllerDarpTest, EnqueueDefersAnIdleBanksPullIn)
+{
+    // DARP pulls an idle bank's REFsb forward while the controller is
+    // busy elsewhere and defers it once the bank has queued demand.
+    // The verdict is cached between events, so a request arriving for
+    // the next bank in line must cancel that bank's pull-in on the
+    // very next tick, exactly as a fresh wantRefresh() would.
+    const DramSpec &spec = DramSpec::preset(DramGen::kDdr5_4800);
+    const Clock clock{spec.busMhz};
+    TimingParams tp = spec.timing;
+    tp.refreshMode = RefreshMode::kPerBank;
+    NominalTiming nominal;
+    nominal.trcd = tp.tRCD;
+    nominal.tras = tp.tRAS;
+    nominal.trp = tp.tRP;
+    const CellModel cell;
+    const SenseAmpModel sa(cell);
+    const TimingDerate derate(sa, nominal, clock);
+    DramDevice dev(spec.geometry, tp, derate, clock);
+    ControllerConfig cfg;
+    cfg.refreshPolicy = RefreshPolicy::kDarp;
+    MemoryController mc(
+        dev, std::make_unique<FrFcfsScheduler>(PagePolicy::kOpen), cfg);
+
+    const RankId rank{0};
+    auto addr = [&](unsigned bank, unsigned row) {
+        DramCoord c;
+        c.bank = BankId{bank};
+        c.row = RowId{row};
+        return mc.mapping().compose(c);
+    };
+    auto refreshes = [&](unsigned bank) {
+        return dev.refreshFor(rank, BankId{bank}).refreshesDone();
+    };
+
+    // Row conflicts keep bank 1 busy, so the controller is never idle
+    // and every other bank may pull its refresh in.
+    for (unsigned row = 0; row < 8; ++row)
+        mc.enqueueRead(addr(1, row), Waiter{}, 0);
+    Cycle now = 0;
+    mc.tick(now++);
+    ASSERT_EQ(refreshes(0), 1u) << "bank 0 should be pulled in first";
+    ASSERT_EQ(dev.refreshFor(rank, BankId{0}).pulledIn(), 1u);
+
+    // Bank 2 is next in line once tREFSBRD has passed.
+    const Cycle next = dev.rank(rank).lastRefsbAt + tp.tREFSBRD;
+    while (now < next)
+        mc.tick(now++);
+    ASSERT_EQ(refreshes(2), 0u);
+    ASSERT_EQ(refreshes(3), 0u);
+
+    mc.enqueueRead(addr(2, 0), Waiter{}, now);
+    mc.tick(now);
+    EXPECT_EQ(refreshes(2), 0u) << "bank 2 has demand: its REFsb waits";
+    EXPECT_EQ(refreshes(3), 1u) << "the next idle bank takes the slot";
+    EXPECT_EQ(dev.rank(rank).lastRefsbAt, now);
 }
 
 } // namespace

@@ -329,6 +329,47 @@ TEST(ServeRuntime, DeterministicRunsAreByteIdentical)
     }
 }
 
+/** A deterministic, audited serve run on @p gen's preset. */
+ServeResult
+runAuditedGen(DramGen gen, RefreshMode mode, RefreshPolicy policy)
+{
+    ServeConfig cfg = smallConfig();
+    cfg.deterministic = true;
+    cfg.requestsPerProducer = 2000;
+    cfg.experiment.audit = true;
+    cfg.experiment.applyDramGen(gen, mode);
+    cfg.experiment.controller.refreshPolicy = policy;
+    return runServe(cfg);
+}
+
+TEST(ServeRuntime, Ddr4ShardsRunAtThePresetClock)
+{
+    // Each shard's charge model, device and auditor must run at the
+    // preset's bus clock, not the DDR3 default.
+    const ServeResult res =
+        runAuditedGen(DramGen::kDdr4_2400, RefreshMode::kAllBank,
+                      RefreshPolicy::kInOrder);
+    EXPECT_FALSE(res.failed);
+    EXPECT_TRUE(res.audited);
+    EXPECT_GT(res.auditCommandsChecked, 0u);
+    EXPECT_EQ(res.auditViolations, 0u);
+    EXPECT_TRUE(res.conserves());
+    EXPECT_EQ(res.requestsRetired, res.requestsProduced);
+}
+
+TEST(ServeRuntime, Ddr5PerBankDarpShardsRunAtThePresetClock)
+{
+    const ServeResult res =
+        runAuditedGen(DramGen::kDdr5_4800, RefreshMode::kPerBank,
+                      RefreshPolicy::kDarp);
+    EXPECT_FALSE(res.failed);
+    EXPECT_TRUE(res.audited);
+    EXPECT_GT(res.auditCommandsChecked, 0u);
+    EXPECT_EQ(res.auditViolations, 0u);
+    EXPECT_TRUE(res.conserves());
+    EXPECT_EQ(res.requestsRetired, res.requestsProduced);
+}
+
 TEST(ServeRuntime, DrainOnStopConservesInFlight)
 {
     // Threaded graceful-shutdown stress (also the TSan chaos case):
