@@ -34,14 +34,12 @@ RankState::RankState(std::uint32_t rows, const TimingParams &tp,
     }
 }
 
-bool
-RankState::fawBlocked(Cycle now, const TimingParams &tp) const
+Cycle
+RankState::fawClearAt(const TimingParams &tp) const
 {
-    if (actWindow.size() < 4)
-        return false;
     // actWindow holds the last 4 ACT times (oldest first): a fifth ACT
     // must wait until the oldest leaves the tFAW window.
-    return now < actWindow.front() + tp.tFAW;
+    return actWindow.size() < 4 ? 0 : actWindow.front() + tp.tFAW;
 }
 
 void
@@ -169,92 +167,86 @@ DramDevice::attachFaultModel(FaultModel *faults)
     faults_ = faults;
 }
 
-bool
-DramDevice::canIssueAct(const Command &cmd, Cycle now) const
-{
-    const RankState &r = ranks_[cmd.rank.value()];
-    const BankState &b = r.banks[cmd.bank.value()];
-    const BankGroupId g = geom_.bankGroupOf(cmd.bank);
-    return b.isClosed() && now >= b.actAllowedAt() &&
-           now >= r.actAllowedAt &&
-           now >= r.groupActAllowedAt[g.value()] &&
-           now >= r.refBusyUntil &&
-           now >= r.refsbBusyUntil[cmd.bank.value()] &&
-           !r.fawBlocked(now, tp_);
-}
-
-bool
-DramDevice::canIssueRef(const Command &cmd, Cycle now) const
-{
-    if (tp_.refreshMode != RefreshMode::kAllBank)
-        return false; // per-bank devices retire refresh via REFsb
-    const RankState &r = ranks_[cmd.rank.value()];
-    if (now < r.refBusyUntil)
-        return false;
-    for (const auto &b : r.banks) {
-        if (!b.prechargedAt(now))
-            return false;
-    }
-    return true;
-}
-
-bool
-DramDevice::canIssueRefsb(const Command &cmd, Cycle now) const
-{
-    if (tp_.refreshMode != RefreshMode::kPerBank)
-        return false;
-    const RankState &r = ranks_[cmd.rank.value()];
-    if (!r.banks[cmd.bank.value()].prechargedAt(now))
-        return false;
-    if (now < r.refsbBusyUntil[cmd.bank.value()])
-        return false;
-    // Same-rank spacing between consecutive REFsb commands.
-    return r.lastRefsbAt == kNeverCycle ||
-           now >= r.lastRefsbAt + tp_.tREFSBRD;
-}
-
-bool
-DramDevice::canIssue(const Command &cmd, Cycle now) const
+Cycle
+DramDevice::earliestIssueAt(const Command &cmd) const
 {
     nuat_assert(cmd.rank.value() < ranks_.size());
     nuat_assert(cmd.type == CmdType::kRef ||
                 cmd.bank.value() < geom_.banks);
 
-    // Command bus: one command per cycle.
-    if (lastCmdAt_ != kNeverCycle && now <= lastCmdAt_)
-        return false;
-
     const RankState &r = ranks_[cmd.rank.value()];
-    const BankState &b =
-        r.banks[cmd.type == CmdType::kRef ? 0 : cmd.bank.value()];
-    const BankGroupId g = geom_.bankGroupOf(
-        cmd.type == CmdType::kRef ? BankId{0} : cmd.bank);
+    // Command bus: one command per cycle.
+    Cycle at = lastCmdAt_ == kNeverCycle ? 0 : lastCmdAt_ + 1;
+    auto gate = [&at](Cycle c) { at = std::max(at, c); };
+    // Rank switch on the data bus: a burst from another rank than the
+    // last one starts tRTRS after it ends; @p latency is the command's
+    // CAS latency (tCL / tCWL).
+    auto rankSwitch = [&](Cycle latency) {
+        const Cycle free_at = lastDataEndAt_ + tp_.tRTRS;
+        if (cmd.rank != lastDataRank_ && free_at > latency)
+            gate(free_at - latency);
+    };
+
+    if (cmd.type == CmdType::kRef) {
+        if (tp_.refreshMode != RefreshMode::kAllBank)
+            return kNeverCycle; // per-bank devices retire via REFsb
+        gate(r.refBusyUntil);
+        for (const auto &b : r.banks) {
+            if (!b.isClosed())
+                return kNeverCycle;
+            gate(b.prechargeDoneAt());
+        }
+        return at;
+    }
+
+    const BankState &b = r.banks[cmd.bank.value()];
+    const BankGroupId g = geom_.bankGroupOf(cmd.bank);
+    // Every other command needs the bank closed (ACT, REFsb) or open
+    // (PRE and column commands).
+    const bool wants_closed =
+        cmd.type == CmdType::kAct || cmd.type == CmdType::kRefsb;
+    if (b.isClosed() != wants_closed)
+        return kNeverCycle;
 
     switch (cmd.type) {
       case CmdType::kAct:
-        return canIssueAct(cmd, now);
+        gate(b.actAllowedAt());
+        gate(r.actAllowedAt);
+        gate(r.groupActAllowedAt[g.value()]);
+        gate(r.refBusyUntil);
+        gate(r.refsbBusyUntil[cmd.bank.value()]);
+        gate(r.fawClearAt(tp_));
+        break;
       case CmdType::kPre:
-        return !b.isClosed() && now >= b.preAllowedAt();
+        gate(b.preAllowedAt());
+        break;
       case CmdType::kRead:
       case CmdType::kReadAp:
-        return !b.isClosed() && now >= b.rdAllowedAt() &&
-               now >= rdIssueOkAt_ &&
-               now >= r.groupRdIssueOkAt[g.value()] &&
-               (cmd.rank == lastDataRank_ ||
-                now + tp_.tCL >= lastDataEndAt_ + tp_.tRTRS);
+        gate(b.rdAllowedAt());
+        gate(rdIssueOkAt_);
+        gate(r.groupRdIssueOkAt[g.value()]);
+        rankSwitch(tp_.tCL);
+        break;
       case CmdType::kWrite:
       case CmdType::kWriteAp:
-        return !b.isClosed() && now >= b.wrAllowedAt() &&
-               now >= wrIssueOkAt_ &&
-               now >= r.groupWrIssueOkAt[g.value()] &&
-               (cmd.rank == lastDataRank_ ||
-                now + tp_.tCWL >= lastDataEndAt_ + tp_.tRTRS);
-      case CmdType::kRef:
-        return canIssueRef(cmd, now);
+        gate(b.wrAllowedAt());
+        gate(wrIssueOkAt_);
+        gate(r.groupWrIssueOkAt[g.value()]);
+        rankSwitch(tp_.tCWL);
+        break;
       case CmdType::kRefsb:
-        return canIssueRefsb(cmd, now);
+        if (tp_.refreshMode != RefreshMode::kPerBank)
+            return kNeverCycle;
+        gate(b.prechargeDoneAt());
+        gate(r.refsbBusyUntil[cmd.bank.value()]);
+        // Same-rank spacing between consecutive REFsb commands.
+        if (r.lastRefsbAt != kNeverCycle)
+            gate(r.lastRefsbAt + tp_.tREFSBRD);
+        break;
+      case CmdType::kRef:
+        break; // handled above
     }
-    return false;
+    return at;
 }
 
 void

@@ -89,8 +89,8 @@ class RankState
     /** Issue times of recent ACTs, for the four-activate window. */
     std::deque<Cycle> actWindow;
 
-    /** True when an ACT at @p now would violate tFAW. */
-    bool fawBlocked(Cycle now, const TimingParams &tp) const;
+    /** Earliest cycle a fifth ACT clears the tFAW window. */
+    Cycle fawClearAt(const TimingParams &tp) const;
 
     /** Record an ACT at @p now for tRRD / tFAW accounting. */
     void recordAct(Cycle now, const TimingParams &tp);
@@ -129,8 +129,21 @@ class DramDevice
     DramDevice(const DramGeometry &geometry, const TimingParams &tp,
                const TimingDerate &derate, const Clock &clock = kMemClock);
 
+    /**
+     * Earliest cycle at which @p cmd becomes legal if nothing else
+     * issues first: the max of every timing register the command is
+     * gated by (bank, rank and channel), or kNeverCycle when the bank
+     * state forbids it (e.g. a column command to a closed bank).  The
+     * single definition of legality; canIssue reads it.
+     */
+    Cycle earliestIssueAt(const Command &cmd) const;
+
     /** True when @p cmd may legally issue at @p now. */
-    bool canIssue(const Command &cmd, Cycle now) const;
+    bool
+    canIssue(const Command &cmd, Cycle now) const
+    {
+        return earliestIssueAt(cmd) <= now;
+    }
 
     /**
      * Issue @p cmd at @p now.  Panics if illegal (the controller must
@@ -225,10 +238,6 @@ class DramDevice
     void addObserver(CommandObserver *obs);
 
   private:
-    bool canIssueAct(const Command &cmd, Cycle now) const;
-    bool canIssueRef(const Command &cmd, Cycle now) const;
-    bool canIssueRefsb(const Command &cmd, Cycle now) const;
-
     BankState &bankRef(RankId rank, BankId bank_idx);
 
     DramGeometry geom_;

@@ -29,6 +29,31 @@ struct MemoryController::CtrlMetrics
     Histogram *writeqOccupancy;
     Gauge *readqLen;
     Gauge *writeqLen;
+
+    /** The issue counter for @p type. */
+    Counter *
+    command(CmdType type) const
+    {
+        switch (type) {
+          case CmdType::kAct:
+            return cmdAct;
+          case CmdType::kPre:
+            return cmdPre;
+          case CmdType::kRead:
+            return cmdRead;
+          case CmdType::kWrite:
+            return cmdWrite;
+          case CmdType::kReadAp:
+            return cmdReadAp;
+          case CmdType::kWriteAp:
+            return cmdWriteAp;
+          case CmdType::kRef:
+            return cmdRef;
+          case CmdType::kRefsb:
+            break;
+        }
+        return cmdRefsb;
+    }
 };
 
 MemoryController::~MemoryController() = default;
@@ -210,19 +235,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
     }
 
     nuat_assert(readQ_.hasRoom(), "(enqueueRead without canAcceptRead)");
-    auto req = std::make_unique<Request>();
-    req->id = nextRequestId_++;
-    req->isWrite = false;
-    req->addr = line;
-    const DramCoord c = mapping_.decompose(line);
-    req->rank = c.rank;
-    req->bank = c.bank;
-    req->row = c.row;
-    req->col = c.col;
-    req->arrivalAt = now;
-    req->waiters.push_back(waiter);
-    readQ_.push(std::move(req));
-    noteDemandChange(c.rank, c.bank);
+    queueRequest(line, false, now).waiters.push_back(waiter);
 }
 
 void
@@ -239,18 +252,39 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     }
 
     nuat_assert(writeQ_.hasRoom(), "(enqueueWrite without canAcceptWrite)");
-    auto req = std::make_unique<Request>();
-    req->id = nextRequestId_++;
-    req->isWrite = true;
-    req->addr = line;
+    queueRequest(line, true, now);
+}
+
+Request &
+MemoryController::queueRequest(Addr line, bool is_write, Cycle now)
+{
+    auto owned = std::make_unique<Request>();
+    Request &req = *owned;
+    req.id = nextRequestId_++;
+    req.isWrite = is_write;
+    req.addr = line;
     const DramCoord c = mapping_.decompose(line);
-    req->rank = c.rank;
-    req->bank = c.bank;
-    req->row = c.row;
-    req->col = c.col;
-    req->arrivalAt = now;
-    writeQ_.push(std::move(req));
-    noteDemandChange(c.rank, c.bank);
+    req.rank = c.rank;
+    req.bank = c.bank;
+    req.row = c.row;
+    req.col = c.col;
+    req.arrivalAt = now;
+    (is_write ? writeQ_ : readQ_).push(std::move(owned));
+    noteDemandChange(req.rank, req.bank);
+
+    // Lower the wake.  The new request can add only its own candidate:
+    // joining the open row's demand or an ACT run only suppresses one,
+    // and a candidate it lets through has its bank's kind of command,
+    // so the same earliest-legal cycle.  A bank draining for refresh
+    // adds none until its verdict flips, which resets the wake.
+    BankSlot &s = slotOf(req.rank, req.bank);
+    if (!s.wantRefresh) {
+        const Cycle at =
+            dev_.earliestIssueAt(commandFor(req, kindFor(req)));
+        s.readyAt = std::min(s.readyAt, at);
+        wakeAt_ = std::min(wakeAt_, at);
+    }
+    return req;
 }
 
 void
@@ -291,31 +325,14 @@ MemoryController::handleRefresh(Cycle now)
         ref.type = CmdType::kRef;
         ref.rank = rank;
         if (dev_.canIssue(ref, now)) {
-            dev_.issue(ref, now);
-            verdictsUntil_ = 0; // the rank's schedule moved on
-            NUAT_METRIC(if (metrics_) metrics_->cmdRef->inc());
-            scheduler_->onIssue(ref, makeContext(now));
+            issueCommand(ref, now);
             return true;
         }
 
         // Drain open banks with forced precharges so REF can proceed.
         for (unsigned b = 0; b < banks; ++b) {
-            const BankId bank{b};
-            if (dev_.bank(rank, bank).isClosed())
-                continue;
-            Command pre;
-            pre.type = CmdType::kPre;
-            pre.rank = rank;
-            pre.bank = bank;
-            if (dev_.canIssue(pre, now)) {
-                dev_.issue(pre, now);
-                NUAT_METRIC(if (metrics_) {
-                    metrics_->cmdPre->inc();
-                    metrics_->forcedPre->inc();
-                });
-                scheduler_->onIssue(pre, makeContext(now));
+            if (tryForcedPre(rank, BankId{b}, now))
                 return true;
-            }
         }
         // Nothing issuable yet (tRAS / tRTP / tWR still running); the
         // rank's candidates are suppressed below, so progress is
@@ -332,31 +349,26 @@ MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now)
     refsb.rank = rank;
     refsb.bank = bank;
     if (dev_.canIssue(refsb, now)) {
-        dev_.issue(refsb, now);
-        verdictsUntil_ = 0; // the bank's schedule moved on
-        NUAT_METRIC(if (metrics_) metrics_->cmdRefsb->inc());
-        scheduler_->onIssue(refsb, makeContext(now));
+        issueCommand(refsb, now);
         return true;
     }
+    // If the target bank is still busy (tRAS / tRTP / tWR / tREFSBRD),
+    // its candidates stay suppressed in enumerate, so it quiesces.
+    return tryForcedPre(rank, bank, now);
+}
 
-    if (!dev_.bank(rank, bank).isClosed()) {
-        Command pre;
-        pre.type = CmdType::kPre;
-        pre.rank = rank;
-        pre.bank = bank;
-        if (dev_.canIssue(pre, now)) {
-            dev_.issue(pre, now);
-            NUAT_METRIC(if (metrics_) {
-                metrics_->cmdPre->inc();
-                metrics_->forcedPre->inc();
-            });
-            scheduler_->onIssue(pre, makeContext(now));
-            return true;
-        }
-    }
-    // Target bank still busy (tRAS / tRTP / tWR / tREFSBRD); its
-    // candidates are suppressed in enumerate, so it quiesces.
-    return false;
+bool
+MemoryController::tryForcedPre(RankId rank, BankId bank, Cycle now)
+{
+    Command pre;
+    pre.type = CmdType::kPre;
+    pre.rank = rank;
+    pre.bank = bank;
+    if (!dev_.canIssue(pre, now))
+        return false; // closed, or the open row is still recovering
+    issueCommand(pre, now);
+    NUAT_METRIC(if (metrics_) metrics_->forcedPre->inc());
+    return true;
 }
 
 bool
@@ -395,14 +407,20 @@ MemoryController::wantRefresh(RankId rank, BankId bank, Cycle now) const
 void
 MemoryController::fillVerdict(RankId rank, BankId bank, Cycle now)
 {
-    BankSlot &s =
-        slots_[rank.value() * dev_.geometry().banks + bank.value()];
+    BankSlot &s = slotOf(rank, bank);
+    const bool wanted = s.wantRefresh;
     wantingBanks_ -= s.wantRefresh;
     s.refreshForced = policy_ != RefreshPolicy::kInOrder &&
                       refreshForced(rank, bank, now);
     s.wantRefresh = wantRefresh(rank, bank, now);
     s.verdictStale = false;
     wantingBanks_ += s.wantRefresh;
+    if (s.wantRefresh != wanted) {
+        // The bank starts or stops draining for refresh, which adds or
+        // drops all its candidates at once: walk it at the next tick.
+        s.readyAt = 0;
+        wakeAt_ = 0;
+    }
 
     // The cycle-driven inputs: each threshold still ahead flips one
     // comparison in wantRefresh/refreshForced when the cycle reaches
@@ -450,8 +468,7 @@ MemoryController::noteDemandChange(RankId rank, BankId bank)
     if (readQ_.size() + writeQ_.size() <= 1) {
         verdictsUntil_ = 0; // queue emptiness may have flipped
     } else if (demand_.bankDemand(rank, bank) <= 1) {
-        slots_[rank.value() * dev_.geometry().banks + bank.value()]
-            .verdictStale = true;
+        slotOf(rank, bank).verdictStale = true;
         verdictsStale_ = true;
     }
 }
@@ -511,123 +528,146 @@ MemoryController::handlePerBankRefresh(Cycle now)
     return false;
 }
 
-void
-MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
+MemoryController::LegalKind
+MemoryController::kindFor(const Request &req) const
 {
-    out.clear();
+    const BankState &b = dev_.bank(req.rank, req.bank);
+    if (b.openRow() == req.row)
+        return req.isWrite ? kLegalWrite : kLegalRead;
+    return b.isClosed() ? kLegalAct : kLegalPre;
+}
 
-    const unsigned banks = dev_.geometry().banks;
+Command
+MemoryController::commandFor(const Request &req, LegalKind kind) const
+{
+    Command cmd;
+    cmd.rank = req.rank;
+    cmd.bank = req.bank;
+    switch (kind) {
+      case kLegalAct:
+        cmd.type = CmdType::kAct;
+        cmd.row = req.row;
+        cmd.actTiming = RowTiming{dev_.timing().tRCD, dev_.timing().tRAS,
+                                  dev_.timing().tRC};
+        break;
+      case kLegalRead:
+      case kLegalWrite:
+        cmd.type = kind == kLegalWrite ? CmdType::kWrite : CmdType::kRead;
+        cmd.col = req.col;
+        cmd.row = req.row;
+        break;
+      case kLegalPre:
+      case kLegalKinds:
+        cmd.type = CmdType::kPre;
+        break;
+    }
+    return cmd;
+}
 
-    // The per-bank memo below lives for this enumeration only:
-    // advancing the epoch invalidates every slot without touching
-    // memory.  Within one enumeration nothing issues and no queue
-    // changes, so a bank's legality per command kind and its open
-    // row's demand are fixed; canIssue does not depend on the row or
-    // column, so every request to the bank shares the answer.
-    ++enumEpoch_;
-    const std::uint64_t epoch = enumEpoch_;
-
-    const RowTiming nominal{dev_.timing().tRCD, dev_.timing().tRAS,
-                            dev_.timing().tRC};
-
-    // The command @p req needs next, of the given kind.
-    auto commandFor = [&](const Request &req, LegalKind kind) {
-        Command cmd;
-        cmd.rank = req.rank;
-        cmd.bank = req.bank;
-        switch (kind) {
-          case kLegalAct:
-            cmd.type = CmdType::kAct;
-            cmd.row = req.row;
-            cmd.actTiming = nominal;
-            break;
-          case kLegalRead:
-          case kLegalWrite:
-            cmd.type = kind == kLegalWrite ? CmdType::kWrite
-                                           : CmdType::kRead;
-            cmd.col = req.col;
-            cmd.row = req.row;
-            break;
-          case kLegalPre:
-            cmd.type = CmdType::kPre;
-            break;
-        }
-        return cmd;
-    };
-
-    auto legal = [&](BankSlot &s, const Request &req, LegalKind kind) {
-        const auto bit = static_cast<std::uint8_t>(1u << kind);
-        if (!(s.legalKnown & bit)) {
-            s.legalKnown |= bit;
-            if (dev_.canIssue(commandFor(req, kind), now))
-                s.legalOk |= bit;
-        }
-        return (s.legalOk & bit) != 0;
-    };
+void
+MemoryController::walkRequest(Request &req, Cycle now,
+                              std::vector<Candidate> &out)
+{
+    BankSlot &s = slotOf(req.rank, req.bank);
+    if (s.wantRefresh)
+        return; // rank (or this bank) is draining for refresh
 
     // Queued requests on the bank's open row, from the incrementally
     // maintained tracker (updated on queue push/remove).  Used both to
     // suppress precharges of rows with pending hits (FR-FCFS
     // semantics; NUAT's HIT element agrees) and to tell close-page
     // policies whether a column access is the row's last pending one.
-    auto openRowDemand = [&](BankSlot &s, const Request &req, RowId open) {
+    auto openRowDemand = [&] {
         if (!s.openRowDemandKnown) {
-            s.openRowDemand = demand_.demandFor(req.rank, req.bank, open);
+            s.openRowDemand = demand_.demandFor(
+                req.rank, req.bank, dev_.bank(req.rank, req.bank).openRow());
             s.openRowDemandKnown = true;
         }
         return s.openRowDemand;
     };
 
-    auto addForRequest = [&](Request *req) {
-        BankSlot &s = slots_[req->rank.value() * banks + req->bank.value()];
-        if (s.wantRefresh)
-            return; // rank (or this bank) is draining for refresh
-        if (s.epoch != epoch) {
-            s.epoch = epoch;
-            s.preSeen = false;
-            s.legalKnown = 0;
-            s.legalOk = 0;
-            s.actSeenRow = kNoRow;
-            s.openRowDemandKnown = false;
-        }
-        const BankState &b = dev_.bank(req->rank, req->bank);
-        LegalKind kind;
-        if (b.openRow() == req->row) {
-            kind = req->isWrite ? kLegalWrite : kLegalRead;
-        } else if (b.isClosed()) {
-            // One ACT candidate per (bank, row) run.
-            if (s.actSeenRow == req->row)
-                return;
-            kind = kLegalAct;
-        } else {
-            // Row conflict: precharge, unless the open row still has
-            // pending hits or a PRE candidate already exists.
-            if (s.preSeen || openRowDemand(s, *req, b.openRow()) > 0)
-                return;
-            kind = kLegalPre;
-        }
-        if (!legal(s, *req, kind))
-            return;
+    const LegalKind kind = kindFor(req);
+    if (kind == kLegalAct && s.actSeenRow == req.row)
+        return; // one ACT candidate per (bank, row) run
+    // Row conflict: precharge, unless the open row still has pending
+    // hits or a PRE candidate already exists.
+    if (kind == kLegalPre && (s.preSeen || openRowDemand() > 0))
+        return;
 
-        Candidate cand;
-        cand.cmd = commandFor(*req, kind);
-        cand.req = req;
-        cand.isWrite = req->isWrite;
-        if (kind == kLegalAct) {
-            s.actSeenRow = req->row;
-        } else if (kind == kLegalPre) {
-            s.preSeen = true;
-        } else {
-            cand.isRowHit = true;
-            cand.morePendingToRow = openRowDemand(s, *req, req->row) > 1;
-        }
-        out.push_back(cand);
-    };
+    Candidate cand;
+    cand.cmd = commandFor(req, kind);
+    const auto bit = static_cast<std::uint8_t>(1u << kind);
+    if (!(s.legalKnown & bit)) {
+        s.legalKnown |= bit;
+        s.legalAt[kind] = dev_.earliestIssueAt(cand.cmd);
+    }
+    if (s.legalAt[kind] > now)
+        return;
 
-    for (const auto &req : readQ_)
-        addForRequest(req.get());
-    for (const auto &req : writeQ_)
-        addForRequest(req.get());
+    cand.req = &req;
+    cand.isWrite = req.isWrite;
+    if (kind == kLegalAct) {
+        s.actSeenRow = req.row;
+    } else if (kind == kLegalPre) {
+        s.preSeen = true;
+    } else {
+        cand.isRowHit = true;
+        cand.morePendingToRow = openRowDemand() > 1;
+    }
+    out.push_back(cand);
+}
+
+void
+MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
+{
+    out.clear();
+
+    // Walk each bank whose readyAt has come: its reads, then its
+    // writes, each in arrival order, so every bank sees its requests
+    // in the same order as a walk of the read queue, then the write
+    // queue.  A bank not walked has no legal command before its
+    // readyAt, which bounds the wake.
+    const unsigned banks = dev_.geometry().banks;
+    Cycle wake = kNeverCycle;
+    for (unsigned r = 0; r < dev_.geometry().ranks; ++r) {
+        for (unsigned b = 0; b < banks; ++b) {
+            BankSlot &s = slots_[r * banks + b];
+            if (s.readyAt > now) {
+                wake = std::min(wake, s.readyAt);
+                continue;
+            }
+            // Nothing to walk until a verdict flip or an arrival
+            // lowers readyAt again.
+            s.readyAt = kNeverCycle;
+            if (s.wantRefresh)
+                continue; // draining for refresh
+            s.startWalk();
+            for (Request *q = demand_.oldest(RankId{r}, BankId{b}, false);
+                 q; q = q->bankNext)
+                walkRequest(*q, now, out);
+            for (Request *q = demand_.oldest(RankId{r}, BankId{b}, true);
+                 q; q = q->bankNext)
+                walkRequest(*q, now, out);
+            for (unsigned k = 0; k < kLegalKinds; ++k) {
+                if (s.legalKnown & (1u << k))
+                    s.readyAt = std::min(s.readyAt, s.legalAt[k]);
+            }
+            wake = std::min(wake, s.readyAt);
+        }
+    }
+    wakeAt_ = wake;
+
+    // Candidate order is part of the contract (pick breaks ties by
+    // index): read queue by arrival, then write queue by arrival.
+    // Request ids rise with arrival.
+    std::sort(out.begin(), out.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  return a.isWrite != b.isWrite ? b.isWrite
+                                                : a.req->id < b.req->id;
+              });
+#ifndef NDEBUG
+    checkWalk(now, out);
+#endif
 
     // SARP write-drain shadowing: while some bank sits in its tRFCpb
     // window, steer the slot toward the write queue — the drain hides
@@ -651,18 +691,69 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
 }
 
 void
+MemoryController::checkWalk(Cycle now, const std::vector<Candidate> &cands)
+{
+    std::vector<Candidate> ref;
+    for (BankSlot &s : slots_)
+        s.startWalk();
+    for (const auto &req : readQ_)
+        walkRequest(*req, now, ref);
+    for (const auto &req : writeQ_)
+        walkRequest(*req, now, ref);
+    nuat_assert(ref.size() == cands.size(),
+                "(bank walk found %zu candidates, queue walk %zu, at "
+                "cycle %llu)",
+                cands.size(), ref.size(),
+                static_cast<unsigned long long>(now));
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const Command &a = ref[i].cmd;
+        const Command &b = cands[i].cmd;
+        nuat_assert(ref[i].req == cands[i].req && a.type == b.type &&
+                        a.rank == b.rank && a.bank == b.bank &&
+                        a.row == b.row && a.col == b.col &&
+                        ref[i].isRowHit == cands[i].isRowHit &&
+                        ref[i].morePendingToRow ==
+                            cands[i].morePendingToRow,
+                    "(bank walk candidate %zu differs from the queue "
+                    "walk at cycle %llu)",
+                    i, static_cast<unsigned long long>(now));
+    }
+}
+
+IssueResult
+MemoryController::issueCommand(const Command &cmd, Cycle now)
+{
+    const IssueResult result = dev_.issue(cmd, now);
+    scheduler_->onIssue(cmd, makeContext(now));
+
+    // The command changed its bank's state (REF: its rank's), so the
+    // bank's readiness is unknown; every other register it moved only
+    // moved later.
+    wakeAt_ = 0;
+    if (cmd.type == CmdType::kRef) {
+        const unsigned banks = dev_.geometry().banks;
+        for (unsigned b = 0; b < banks; ++b)
+            slots_[cmd.rank.value() * banks + b].readyAt = 0;
+    } else {
+        slotOf(cmd.rank, cmd.bank).readyAt = 0;
+    }
+    if (isRefreshCmd(cmd.type))
+        verdictsUntil_ = 0; // the refresh schedule moved on
+
+    NUAT_METRIC(if (metrics_) metrics_->command(cmd.type)->inc());
+    return result;
+}
+
+void
 MemoryController::issueCandidate(Candidate &cand, Cycle now)
 {
-    const IssueResult result = dev_.issue(cand.cmd, now);
-    scheduler_->onIssue(cand.cmd, makeContext(now));
+    const IssueResult result = issueCommand(cand.cmd, now);
 
     switch (cand.cmd.type) {
       case CmdType::kAct:
         cand.req->hadOwnAct = true;
-        NUAT_METRIC(if (metrics_) metrics_->cmdAct->inc());
         break;
       case CmdType::kPre:
-        NUAT_METRIC(if (metrics_) metrics_->cmdPre->inc());
         break;
       case CmdType::kRead:
       case CmdType::kReadAp: {
@@ -674,9 +765,6 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
         stats_.readLatencyHist.sample(
             static_cast<double>(result.dataAt - req->arrivalAt));
         NUAT_METRIC(if (metrics_) {
-            (cand.cmd.type == CmdType::kReadAp ? metrics_->cmdReadAp
-                                               : metrics_->cmdRead)
-                ->inc();
             metrics_->readsCompleted->inc();
             metrics_->readLatency->sample(
                 static_cast<double>(result.dataAt - req->arrivalAt));
@@ -691,11 +779,6 @@ MemoryController::issueCandidate(Candidate &cand, Cycle now)
       case CmdType::kWriteAp: {
         std::unique_ptr<Request> req = writeQ_.remove(cand.req);
         noteDemandChange(req->rank, req->bank);
-        NUAT_METRIC(if (metrics_) {
-            (cand.cmd.type == CmdType::kWriteAp ? metrics_->cmdWriteAp
-                                                : metrics_->cmdWrite)
-                ->inc();
-        });
         if (!req->hadOwnAct)
             ++stats_.rowHitWrites;
         break;
@@ -729,6 +812,17 @@ MemoryController::tick(Cycle now)
 #endif
     if (handleRefresh(now))
         return;
+
+    if (now < wakeAt_) {
+        // Nothing can have become legal since the last enumeration
+        // found no candidate.
+#ifndef NDEBUG
+        scratch_.clear();
+        checkWalk(now, scratch_);
+#endif
+        ++stats_.idleCycles;
+        return;
+    }
 
     enumerate(now, scratch_);
     if (scratch_.empty()) {

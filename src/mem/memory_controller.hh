@@ -193,6 +193,14 @@ class MemoryController : public MemoryPort
     /** True when no request (queued or in flight) remains. */
     bool idle() const;
 
+    /**
+     * Ticks before this cycle skip candidate enumeration: the last
+     * enumeration found no candidate and nothing since can have made
+     * one legal earlier (see DESIGN.md, "Controller tick").  0 when
+     * the next tick enumerates.
+     */
+    Cycle wakeAt() const { return wakeAt_; }
+
     /** Queue occupancies. */
     std::size_t readQueueLen() const { return readQ_.size(); }
     std::size_t writeQueueLen() const { return writeQ_.size(); }
@@ -285,11 +293,55 @@ class MemoryController : public MemoryPort
      *  forced PRE on its open row.  True if a command was issued. */
     bool tryRefreshBank(RankId rank, BankId bank, Cycle now);
 
-    /** Enumerate all legal candidates at @p now into @p out. */
+    /** Issue a PRE that drains (rank, bank) for refresh, if legal. */
+    bool tryForcedPre(RankId rank, BankId bank, Cycle now);
+
+    /**
+     * Enumerate all legal candidates at @p now into @p out, in queue
+     * order (read queue by arrival, then write queue by arrival), and
+     * set wakeAt_.  Walks only banks whose readyAt has come.
+     */
     void enumerate(Cycle now, std::vector<Candidate> &out);
+
+    /** Command kinds a queued request can need next. */
+    enum LegalKind : std::uint8_t
+    {
+        kLegalAct,
+        kLegalRead,
+        kLegalWrite,
+        kLegalPre,
+        kLegalKinds,
+    };
+
+    /** The kind of command @p req needs next, from its bank's state. */
+    LegalKind kindFor(const Request &req) const;
+
+    /** The command of @p kind that advances @p req. */
+    Command commandFor(const Request &req, LegalKind kind) const;
+
+    /** Add @p req's candidate at @p now to @p out, if it has a legal
+     *  one; reads and fills its bank's walk memo. */
+    void walkRequest(Request &req, Cycle now, std::vector<Candidate> &out);
+
+    /**
+     * Debug builds: panic unless @p cands (this tick's candidates; empty
+     * on a tick the wake skipped) equals what a walk of both queues in
+     * order finds at @p now — same commands, requests and order.
+     */
+    void checkWalk(Cycle now, const std::vector<Candidate> &cands);
+
+    /**
+     * Issue @p cmd and tell the scheduler.  Every command the
+     * controller sends goes through here: it resets the wake and the
+     * readiness of the bank (for REF, the rank) whose state it changed.
+     */
+    IssueResult issueCommand(const Command &cmd, Cycle now);
 
     /** Issue the chosen candidate and retire its request if done. */
     void issueCandidate(Candidate &cand, Cycle now);
+
+    /** Queue a new request for @p line and lower the wake for it. */
+    Request &queueRequest(Addr line, bool is_write, Cycle now);
 
     DramDevice &dev_;
     std::unique_ptr<Scheduler> scheduler_;
@@ -334,17 +386,9 @@ class MemoryController : public MemoryPort
     struct CtrlMetrics;
     std::unique_ptr<CtrlMetrics> metrics_;
 
-    /** Row demand over both queues, maintained on push/remove. */
+    /** Row demand and per-bank request lists over both queues,
+     *  maintained on push/remove. */
     RowDemandTracker demand_;
-
-    /** Command kinds whose legality enumerate memoizes per bank. */
-    enum LegalKind : std::uint8_t
-    {
-        kLegalAct,
-        kLegalRead,
-        kLegalWrite,
-        kLegalPre,
-    };
 
     /**
      * Everything the controller keeps per (rank, bank), indexed
@@ -358,20 +402,49 @@ class MemoryController : public MemoryPort
         bool refreshForced = false; //!< refreshForced() at the last fill
         bool verdictStale = false;  //!< demand flipped since the fill
 
-        // Per-enumeration state, valid only while epoch == enumEpoch_
-        // (advancing the epoch invalidates every slot without touching
-        // memory; the first touch in a new epoch resets these).
-        bool preSeen = false;        //!< a PRE candidate was added
+        /**
+         * No queued request of the bank has a legal command before
+         * this cycle; kNeverCycle while the bank has no demand or is
+         * draining for refresh.  Set by the bank's walk; reset by an
+         * issue to the bank (for REF, its rank) and by a verdict flip,
+         * lowered by an arrival.  An issue elsewhere only moves the
+         * device's registers later, so it stays a lower bound across
+         * those.
+         */
+        Cycle readyAt = 0;
+
+        // Walk memo, reset at the start of each walk over the bank.
+        // Within one enumeration nothing issues and no queue changes,
+        // so the bank's earliest-legal cycle per command kind and its
+        // open row's demand are fixed; legality does not depend on the
+        // row or column, so every request to the bank shares them.
         std::uint8_t legalKnown = 0; //!< LegalKind bits evaluated
-        std::uint8_t legalOk = 0;    //!< LegalKind bits: canIssue
-        RowId actSeenRow = kNoRow;   //!< row of the last ACT added
-        unsigned openRowDemand = 0;  //!< demandFor(open row), if known
+        bool preSeen = false;        //!< a PRE candidate was added
         bool openRowDemandKnown = false;
-        std::uint64_t epoch = 0;
+        RowId actSeenRow = kNoRow;  //!< row of the last ACT added
+        unsigned openRowDemand = 0; //!< demandFor(open row), if known
+        Cycle legalAt[kLegalKinds] = {}; //!< earliestIssueAt per kind
+
+        void
+        startWalk()
+        {
+            legalKnown = 0;
+            preSeen = false;
+            openRowDemandKnown = false;
+            actSeenRow = kNoRow;
+        }
     };
 
     std::vector<BankSlot> slots_;
-    std::uint64_t enumEpoch_ = 0;
+
+    BankSlot &
+    slotOf(RankId rank, BankId bank)
+    {
+        return slots_[rank.value() * dev_.geometry().banks + bank.value()];
+    }
+
+    /** Ticks before this cycle find no candidate (see wakeAt()). */
+    Cycle wakeAt_ = 0;
 
     /** Cached verdicts hold for cycles < verdictsUntil_ (0 forces a
      *  full refill at the next tick). */

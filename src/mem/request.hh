@@ -44,6 +44,11 @@ struct Request
     /** True once an ACT has been issued specifically for this request
      *  (used for row-buffer hit accounting). */
     bool hadOwnAct = false;
+
+    /** Intrusive links of the bank's per-direction queue list
+     *  (RowDemandTracker), in arrival order; null at either end. */
+    Request *bankPrev = nullptr;
+    Request *bankNext = nullptr;
 };
 
 } // namespace nuat

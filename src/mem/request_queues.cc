@@ -9,14 +9,21 @@ RowDemandTracker::reset(unsigned ranks, unsigned banks)
 {
     banks_ = banks;
     perBank_.assign(static_cast<std::size_t>(ranks) * banks, {});
-    bankCount_.assign(static_cast<std::size_t>(ranks) * banks, 0);
+    bank_.assign(static_cast<std::size_t>(ranks) * banks, {});
 }
 
 void
-RowDemandTracker::add(const Request &req)
+RowDemandTracker::add(Request &req)
 {
-    auto &list = perBank_[req.rank.value() * banks_ + req.bank.value()];
-    ++bankCount_[req.rank.value() * banks_ + req.bank.value()];
+    const std::size_t idx = req.rank.value() * banks_ + req.bank.value();
+    BankEntry &e = bank_[idx];
+    ++e.count;
+    req.bankNext = nullptr;
+    req.bankPrev = e.tail[req.isWrite];
+    (req.bankPrev ? req.bankPrev->bankNext : e.head[req.isWrite]) = &req;
+    e.tail[req.isWrite] = &req;
+
+    auto &list = perBank_[idx];
     for (auto &d : list) {
         if (d.row == req.row) {
             ++d.count;
@@ -27,12 +34,19 @@ RowDemandTracker::add(const Request &req)
 }
 
 void
-RowDemandTracker::remove(const Request &req)
+RowDemandTracker::remove(Request &req)
 {
-    auto &list = perBank_[req.rank.value() * banks_ + req.bank.value()];
+    const std::size_t idx = req.rank.value() * banks_ + req.bank.value();
+    auto &list = perBank_[idx];
     for (auto &d : list) {
         if (d.row == req.row) {
-            --bankCount_[req.rank.value() * banks_ + req.bank.value()];
+            BankEntry &e = bank_[idx];
+            --e.count;
+            (req.bankPrev ? req.bankPrev->bankNext : e.head[req.isWrite]) =
+                req.bankNext;
+            (req.bankNext ? req.bankNext->bankPrev : e.tail[req.isWrite]) =
+                req.bankPrev;
+            req.bankPrev = req.bankNext = nullptr;
             if (--d.count == 0) {
                 d = list.back();
                 list.pop_back();

@@ -22,16 +22,18 @@
 namespace nuat {
 
 /**
- * Incremental per-(rank,bank) row-demand counts over one or more
- * request queues.
+ * Incremental per-(rank,bank) demand over one or more request queues.
  *
- * The controller's candidate enumeration needs, every cycle, the
- * number of queued requests targeting each (rank, bank, row) — to
- * suppress precharges of rows with pending hits and to tell close-page
- * policies whether a column access is the row's last pending one.
- * Rebuilding that map from both queues each cycle dominates the tick;
- * instead the queues it is attached to update it on push/remove, so
- * lookups are allocation-free and O(rows pending in the bank).
+ * The controller's candidate enumeration needs, every cycle it runs,
+ * each bank's queued requests and the number of them targeting each
+ * (rank, bank, row) — to suppress precharges of rows with pending hits
+ * and to tell close-page policies whether a column access is the row's
+ * last pending one.  Rebuilding that from both queues each cycle
+ * dominates the tick; instead the queues it is attached to update it
+ * on push/remove: every bank keeps an intrusive list of its queued
+ * reads and one of its queued writes (linked through the requests
+ * themselves, in arrival order) and its row counts, so lookups are
+ * allocation-free and O(rows pending in the bank).
  */
 class RowDemandTracker
 {
@@ -39,11 +41,11 @@ class RowDemandTracker
     /** Size for @p ranks x @p banks; drops all counts. */
     void reset(unsigned ranks, unsigned banks);
 
-    /** Count @p req (called by RequestQueue::push). */
-    void add(const Request &req);
+    /** Count and link @p req (called by RequestQueue::push). */
+    void add(Request &req);
 
-    /** Uncount @p req (called by RequestQueue::remove). */
-    void remove(const Request &req);
+    /** Uncount and unlink @p req (called by RequestQueue::remove). */
+    void remove(Request &req);
 
     /** Queued requests targeting @p row of (@p rank, @p bank). */
     unsigned demandFor(RankId rank, BankId bank, RowId row) const;
@@ -55,7 +57,16 @@ class RowDemandTracker
      */
     unsigned bankDemand(RankId rank, BankId bank) const
     {
-        return bankCount_[rank.value() * banks_ + bank.value()];
+        return bank_[rank.value() * banks_ + bank.value()].count;
+    }
+
+    /**
+     * Oldest queued write (@p writes) or read of (@p rank, @p bank), or
+     * nullptr; Request::bankNext continues in arrival order.
+     */
+    Request *oldest(RankId rank, BankId bank, bool writes) const
+    {
+        return bank_[rank.value() * banks_ + bank.value()].head[writes];
     }
 
   private:
@@ -65,12 +76,20 @@ class RowDemandTracker
         unsigned count;
     };
 
+    /** One bank's total and its read [0] / write [1] lists. */
+    struct BankEntry
+    {
+        unsigned count = 0;
+        Request *head[2] = {nullptr, nullptr};
+        Request *tail[2] = {nullptr, nullptr};
+    };
+
     unsigned banks_ = 0;
     /** Indexed rank * banks_ + bank; inner vectors keep their
      *  capacity across swap-removes, so steady state never allocates. */
     std::vector<std::vector<RowDemand>> perBank_;
-    /** Per-(rank,bank) totals, same indexing. */
-    std::vector<unsigned> bankCount_;
+    /** Per-(rank,bank) totals and lists, same indexing. */
+    std::vector<BankEntry> bank_;
 };
 
 /** A bounded FIFO of requests (arrival order preserved). */

@@ -2,7 +2,8 @@
  * @file
  * Memory-controller tests: end-to-end request timing, merging,
  * forwarding, coalescing, refresh forcing, the cached DARP refresh
- * verdicts, and statistics.
+ * verdicts, the events that wake a sleeping controller, and
+ * statistics.
  */
 
 #include <gtest/gtest.h>
@@ -55,6 +56,16 @@ class ControllerTest : public ::testing::Test
         while (!mc_->idle() && now_ < 1000000)
             mc_->tick(now_++);
         ASSERT_TRUE(mc_->idle());
+    }
+
+    /** Line address of (rank 0, @p bank, @p row). */
+    Addr
+    addr(unsigned bank, unsigned row) const
+    {
+        DramCoord c;
+        c.bank = BankId{bank};
+        c.row = RowId{row};
+        return mc_->mapping().compose(c);
     }
 
     Waiter
@@ -211,6 +222,59 @@ TEST_F(ControllerTest, IdleWhenDrained)
     EXPECT_TRUE(mc_->idle());
 }
 
+TEST_F(ControllerTest, ArrivalWakesASleepingController)
+{
+    // Bank 0 opens row 1 for a read; a second read to row 2 then needs
+    // a PRE that must wait out the row's tRAS, and the controller
+    // sleeps on that wait.
+    mc_->enqueueRead(addr(0, 1), waiter(1), 0);
+    mc_->enqueueRead(addr(0, 2), waiter(2), 0);
+    while (dev_->counters().reads == 0)
+        mc_->tick(now_++);
+    mc_->tick(now_++); // finds nothing legal and goes to sleep
+    const Cycle asleep_until = mc_->wakeAt();
+    ASSERT_GT(asleep_until, now_ + 4) << "should sleep on bank 0's tRAS";
+
+    // A read for idle bank 1 arrives meanwhile.  Its ACT must issue at
+    // its own earliest legal cycle, as without the wake, not when the
+    // controller would next have looked.
+    mc_->enqueueRead(addr(1, 7), waiter(3), now_);
+    Command act;
+    act.type = CmdType::kAct;
+    act.bank = BankId{1};
+    act.row = RowId{7};
+    act.actTiming = RowTiming{tp_.tRCD, tp_.tRAS, tp_.tRC};
+    const Cycle expect = std::max(now_, dev_->earliestIssueAt(act));
+    ASSERT_LT(expect, asleep_until);
+    while (dev_->bank(RankId{0}, BankId{1}).isClosed())
+        mc_->tick(now_++);
+    EXPECT_EQ(now_ - 1, expect);
+}
+
+TEST_F(ControllerTest, RefreshPathIssuesResetTheWake)
+{
+    // Every command the controller issues resets the wake, including
+    // the forced PRE and the REF that handleRefresh sends on its own.
+    const Cycle due = dev_->refresh(RankId{0}).nextDueAt();
+    runTo(due - 5);
+    mc_->enqueueRead(addr(0, 1), waiter(1), now_);
+    std::uint64_t pres = 0;
+    std::uint64_t refs = 0;
+    while (refs == 0 && now_ < due + tp_.tRAS + tp_.tRP + 100) {
+        mc_->tick(now_++);
+        if (dev_->counters().pres != pres) {
+            pres = dev_->counters().pres;
+            EXPECT_EQ(mc_->wakeAt(), 0u) << "forced PRE at " << now_ - 1;
+        }
+        if (dev_->counters().refreshes != refs) {
+            refs = dev_->counters().refreshes;
+            EXPECT_EQ(mc_->wakeAt(), 0u) << "REF at " << now_ - 1;
+        }
+    }
+    EXPECT_EQ(pres, 1u) << "the open row is drained by one forced PRE";
+    EXPECT_EQ(refs, 1u);
+}
+
 TEST(ControllerDarpTest, EnqueueDefersAnIdleBanksPullIn)
 {
     // DARP pulls an idle bank's REFsb forward while the controller is
@@ -267,6 +331,61 @@ TEST(ControllerDarpTest, EnqueueDefersAnIdleBanksPullIn)
     EXPECT_EQ(refreshes(2), 0u) << "bank 2 has demand: its REFsb waits";
     EXPECT_EQ(refreshes(3), 1u) << "the next idle bank takes the slot";
     EXPECT_EQ(dev.rank(rank).lastRefsbAt, now);
+}
+
+TEST(ControllerDarpTest, PullInVerdictFlipWakesTheController)
+{
+    // Bank 2 is suppressed, waiting for its pulled-in REFsb, while the
+    // controller sleeps on bank 1's tRAS.  A read arriving for bank 2
+    // cancels the pull-in; that verdict flip must wake the controller
+    // so the read's ACT issues at once, not at the next refresh.
+    const DramSpec &spec = DramSpec::preset(DramGen::kDdr5_4800);
+    const Clock clock{spec.busMhz};
+    TimingParams tp = spec.timing;
+    tp.refreshMode = RefreshMode::kPerBank;
+    NominalTiming nominal;
+    nominal.trcd = tp.tRCD;
+    nominal.tras = tp.tRAS;
+    nominal.trp = tp.tRP;
+    const CellModel cell;
+    const SenseAmpModel sa(cell);
+    const TimingDerate derate(sa, nominal, clock);
+    DramDevice dev(spec.geometry, tp, derate, clock);
+    ControllerConfig cfg;
+    cfg.refreshPolicy = RefreshPolicy::kDarp;
+    MemoryController mc(
+        dev, std::make_unique<FrFcfsScheduler>(PagePolicy::kOpen), cfg);
+    auto addr = [&](unsigned bank, unsigned row) {
+        DramCoord c;
+        c.bank = BankId{bank};
+        c.row = RowId{row};
+        return mc.mapping().compose(c);
+    };
+
+    for (unsigned row = 0; row < 8; ++row)
+        mc.enqueueRead(addr(1, row), Waiter{}, 0);
+    Cycle now = 0;
+    while (dev.counters().reads == 0)
+        mc.tick(now++);
+    mc.tick(now++); // finds nothing legal and goes to sleep
+    const RankId rank{0};
+    const Cycle next_refsb = dev.rank(rank).lastRefsbAt + tp.tREFSBRD;
+    ASSERT_GT(mc.wakeAt(), now + 4) << "should sleep on bank 1's tRAS";
+    ASSERT_GT(next_refsb, now + 4);
+    ASSERT_EQ(dev.refreshFor(rank, BankId{2}).refreshesDone(), 0u);
+
+    mc.enqueueRead(addr(2, 0), Waiter{}, now);
+    Command act;
+    act.type = CmdType::kAct;
+    act.bank = BankId{2};
+    act.row = RowId{0};
+    act.actTiming = RowTiming{tp.tRCD, tp.tRAS, tp.tRC};
+    const Cycle expect = std::max(now, dev.earliestIssueAt(act));
+    ASSERT_LT(expect, next_refsb);
+    while (dev.bank(rank, BankId{2}).isClosed())
+        mc.tick(now++);
+    EXPECT_EQ(now - 1, expect);
+    EXPECT_EQ(dev.refreshFor(rank, BankId{2}).refreshesDone(), 0u);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file
  * DRAM device tests: bank state machine, rank constraints (tRRD/tFAW),
- * data-bus interleaving, refresh legality, and the charge-violation
- * ground-truth check.
+ * data-bus interleaving, refresh legality, the charge-violation
+ * ground-truth check, and earliestIssueAt against the independent
+ * protocol auditor on random legal command streams.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +14,10 @@
 
 #include "charge/timing_derate.hh"
 #include "common/logging.hh"
+#include "common/random.hh"
 #include "dram/dram_device.hh"
+#include "dram/dram_spec.hh"
+#include "verify/protocol_auditor.hh"
 
 namespace nuat {
 namespace {
@@ -386,6 +390,148 @@ TEST(DramMultiRank, IndependentRefreshEngines)
     act1.row = RowId{5};
     act1.actTiming = RowTiming{12, 30, 42};
     EXPECT_TRUE(dev.canIssue(act1, due + 1));
+}
+
+/** Violations of the rules earliestIssueAt answers for.  The refresh
+ *  schedule (late / early REF) and the charge model are checked by
+ *  issue() on their own, not by legality. */
+std::uint64_t
+protocolViolations(const ProtocolAuditor &audit)
+{
+    std::uint64_t n = audit.violationCount();
+    for (AuditRule rule : {AuditRule::kRefLate, AuditRule::kRefDeadline,
+                           AuditRule::kChargeSafety, AuditRule::kChargeMargin})
+        n -= audit.violationCount(rule);
+    return n;
+}
+
+/**
+ * A random command for @p dev at @p now, mostly legal in its bank's
+ * state: REF / REFsb (or a PRE draining for one) when a refresh is
+ * due, else an ACT to a closed bank or a column command or PRE to an
+ * open one, and now and then a command the bank state forbids.
+ */
+Command
+randomCommand(Rng &rng, const DramDevice &dev, Cycle now)
+{
+    const DramGeometry &geom = dev.geometry();
+    const TimingParams &tp = dev.timing();
+    Command cmd;
+    cmd.rank = RankId{static_cast<std::uint32_t>(rng.below(geom.ranks))};
+    cmd.bank = BankId{static_cast<std::uint32_t>(rng.below(geom.banks))};
+    const bool per_bank = tp.refreshMode == RefreshMode::kPerBank;
+    if (rng.chance(0.9)) {
+        for (unsigned b = 0; b < geom.banks; ++b) {
+            const BankId bank{b};
+            if (!dev.refreshFor(cmd.rank, bank).due(now))
+                continue;
+            cmd.type = per_bank ? CmdType::kRefsb : CmdType::kRef;
+            cmd.bank = per_bank ? bank : BankId{0};
+            // Drain an open bank in the way first.
+            for (unsigned o = 0; o < geom.banks; ++o) {
+                const BankId open = per_bank ? bank : BankId{o};
+                if (!dev.bank(cmd.rank, open).isClosed()) {
+                    cmd.type = CmdType::kPre;
+                    cmd.bank = open;
+                    break;
+                }
+            }
+            return cmd;
+        }
+    }
+    const bool closed = dev.bank(cmd.rank, cmd.bank).isClosed();
+    if (closed != rng.chance(0.05)) {
+        cmd.type = CmdType::kAct;
+        cmd.row = RowId{static_cast<std::uint32_t>(rng.below(geom.rows))};
+        cmd.actTiming = RowTiming{tp.tRCD, tp.tRAS, tp.tRC};
+        return cmd;
+    }
+    static constexpr CmdType kOpenBankCmds[] = {
+        CmdType::kRead, CmdType::kRead, CmdType::kWrite, CmdType::kWrite,
+        CmdType::kReadAp, CmdType::kWriteAp, CmdType::kPre};
+    cmd.type = kOpenBankCmds[rng.below(std::size(kOpenBankCmds))];
+    cmd.col = static_cast<std::uint32_t>(rng.below(geom.columns));
+    return cmd;
+}
+
+TEST(DramLegality, EarliestIssueAtIsExactAgainstTheAuditor)
+{
+    // Random streams issue every probed command at its earliest legal
+    // cycle.  There canIssue must flip from false to true, the
+    // independent ProtocolAuditor must accept the command, and one
+    // cycle earlier it must flag it: so earliestIssueAt is neither
+    // too early (a dropped term) nor too late (a spurious one).
+    for (DramGen gen :
+         {DramGen::kDdr3_1600, DramGen::kDdr4_2400, DramGen::kDdr5_4800}) {
+        for (RefreshMode mode :
+             {RefreshMode::kAllBank, RefreshMode::kPerBank}) {
+            const DramSpec &spec = DramSpec::preset(gen);
+            SCOPED_TRACE(std::string(spec.name) +
+                         (mode == RefreshMode::kPerBank ? " per-bank"
+                                                        : " all-bank"));
+            DramGeometry geom = spec.geometry;
+            geom.ranks = 2;   // rank switches (tRTRS)
+            geom.rows = 1024; // keeps the auditor's row tables small
+            TimingParams tp = spec.timing;
+            tp.refreshMode = mode;
+            const Clock clock{spec.busMhz};
+            NominalTiming nominal;
+            nominal.trcd = tp.tRCD;
+            nominal.tras = tp.tRAS;
+            nominal.trp = tp.tRP;
+            const CellModel cell;
+            const SenseAmpModel sa(cell);
+            const TimingDerate derate(sa, nominal, clock);
+            DramDevice dev(geom, tp, derate, clock);
+            AuditorConfig cfg;
+            cfg.geometry = geom;
+            cfg.timing = tp;
+            cfg.clock = clock;
+            ProtocolAuditor audit(cfg);
+            dev.addObserver(&audit);
+
+            Rng rng(0x5eed + static_cast<std::uint64_t>(gen) * 2 +
+                    (mode == RefreshMode::kPerBank));
+            Cycle now = 0;
+            std::uint64_t issued = 0;
+            for (int step = 0; step < 3000; ++step) {
+                const Command cmd = randomCommand(rng, dev, now);
+                const Cycle earliest = dev.earliestIssueAt(cmd);
+                if (earliest == kNeverCycle) {
+                    ASSERT_FALSE(dev.canIssue(cmd, now)) << cmd.name();
+                    continue;
+                }
+                const Cycle at = std::max(now, earliest);
+                for (Cycle t = now; t <= earliest + 8; ++t)
+                    ASSERT_EQ(dev.canIssue(cmd, t), t >= earliest)
+                        << cmd.name() << " at " << t;
+                if (at > now) {
+                    ProtocolAuditor early = audit;
+                    early.observe(cmd, at - 1);
+                    ASSERT_GT(protocolViolations(early), 0u)
+                        << cmd.name() << " legal before earliestIssueAt "
+                        << at;
+                }
+                if (isRefreshCmd(cmd.type) &&
+                    at > dev.refreshFor(cmd.rank, cmd.bank).nextDueAt() +
+                             tp.maxRefreshSlack)
+                    continue; // issue() would reject it as late
+                dev.issue(cmd, at);
+                ++issued;
+                ASSERT_EQ(protocolViolations(audit), 0u)
+                    << cmd.name() << " at earliestIssueAt " << at << ": "
+                    << (audit.report().messages.empty()
+                            ? ""
+                            : audit.report().messages.front());
+                // Mostly back to back, with idle gaps long enough to
+                // reach the refresh deadlines.
+                now = at + (rng.chance(0.05) ? rng.below(2000)
+                                             : rng.below(3));
+            }
+            EXPECT_GT(issued, 1000u);
+            EXPECT_GT(dev.counters().refreshes, 0u);
+        }
+    }
 }
 
 TEST(DramValidate, TimingConsistency)

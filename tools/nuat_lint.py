@@ -65,6 +65,14 @@ ever runs:
                      ``NUAT_LOCK_FREE("protocol")`` (or a guard) on
                      each atomic — so shared state without a written
                      synchronization contract cannot land.
+  auditor-independence
+                     the protocol auditor (``src/verify/``) stays an
+                     independent re-derivation of the DRAM rules: it
+                     may not include ``dram/dram_device.hh``,
+                     ``dram/bank_state.hh`` or any ``mem/`` header, nor
+                     call ``canIssue``/``earliestIssueAt`` — sharing the
+                     hot path's timing tables would let one bug hide
+                     in both.
   include-guard      every header carries the canonical
                      ``NUAT_<PATH>_HH`` guard with a matching
                      ``#endif // NUAT_<PATH>_HH``.
@@ -899,6 +907,50 @@ def check_header_hygiene(relpath, text, stripped):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: auditor-independence
+# ---------------------------------------------------------------------------
+
+AUDITOR_DIR = "src/verify/"
+INCLUDE_LINE_RE = re.compile(r"^\s*#\s*include\s*\"")
+INCLUDE_PATH_RE = re.compile(r'#\s*include\s*"([^"]+)"')
+AUDITOR_FORBIDDEN_INCLUDE_RE = re.compile(r"^(?:dram/(?:dram_device|bank_state)\.hh|mem/.*)$")
+AUDITOR_FORBIDDEN_CALL_RE = re.compile(r"\b(canIssue|earliestIssueAt)\s*\(")
+
+
+def check_auditor_independence(relpath, text, stripped):
+    if not relpath.startswith(AUDITOR_DIR):
+        return []
+    findings = []
+    raw_lines = text.splitlines()
+    for lineno, line in enumerate(stripped.splitlines(), 1):
+        if not INCLUDE_LINE_RE.match(line):
+            continue  # includes inside comments are blanked out
+        m = INCLUDE_PATH_RE.search(raw_lines[lineno - 1])
+        if m and AUDITOR_FORBIDDEN_INCLUDE_RE.match(m.group(1)):
+            findings.append(
+                Finding(
+                    relpath,
+                    lineno,
+                    "auditor-independence",
+                    "the auditor includes '%s' — it must re-derive the "
+                    "DRAM rules, not share the device's or controller's "
+                    "state" % m.group(1),
+                )
+            )
+    for m in AUDITOR_FORBIDDEN_CALL_RE.finditer(stripped):
+        findings.append(
+            Finding(
+                relpath,
+                _line_of(stripped, m.start()),
+                "auditor-independence",
+                "the auditor calls %s() — legality must come from its "
+                "own shadow state" % m.group(1),
+            )
+        )
+    return findings
+
+
 RULES = {
     "metric-pairing": check_metric_pairing,
     "observer-purity": check_observer_purity,
@@ -909,6 +961,7 @@ RULES = {
     "shared-mutable-static": check_shared_mutable_static,
     "atomic-ordering": check_atomic_ordering,
     "lock-discipline": check_lock_discipline,
+    "auditor-independence": check_auditor_independence,
     "include-guard": check_include_guard,
     "header-hygiene": check_header_hygiene,
 }
@@ -1113,6 +1166,19 @@ struct Racy
     std::atomic<unsigned> inFlight_{0};
 };
 #endif // NUAT_MEM_BROKEN_LOCK_HH
+""",
+    ),
+    "auditor-independence": (
+        "src/verify/broken_auditor.cc",
+        """
+#include "dram/timing_params.hh"
+#include "dram/dram_device.hh"
+#include "mem/memory_controller.hh"
+// #include "dram/bank_state.hh" in a comment is fine
+bool shortcut(const DramDevice &dev, const Command &cmd, Cycle now)
+{
+    return dev.canIssue(cmd, now) && dev.earliestIssueAt(cmd) <= now;
+}
 """,
     ),
     "include-guard": (
