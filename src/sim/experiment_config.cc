@@ -1,6 +1,7 @@
 #include "experiment_config.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -22,6 +23,54 @@ schedulerKindName(SchedulerKind kind)
         return "NUAT";
     }
     return "?";
+}
+
+namespace {
+
+/** CLI spelling of each SchedulerKind, in enum order. */
+constexpr const char *kSchedulerKeys[] = {
+    "fcfs", "frfcfs-open", "frfcfs-close", "frfcfs-adaptive", "nuat"};
+static_assert(std::size(kSchedulerKeys) ==
+                  static_cast<std::size_t>(SchedulerKind::kNuat) + 1,
+              "one CLI spelling per scheduler kind");
+
+} // namespace
+
+const char *
+schedulerKindKey(SchedulerKind kind)
+{
+    return kSchedulerKeys[static_cast<std::size_t>(kind)];
+}
+
+bool
+parseSchedulerKind(std::string_view name, SchedulerKind &out)
+{
+    for (std::size_t k = 0; k < std::size(kSchedulerKeys); ++k) {
+        if (name == kSchedulerKeys[k]) {
+            out = static_cast<SchedulerKind>(k);
+            return true;
+        }
+    }
+    return false;
+}
+
+std::vector<std::string>
+splitCommas(std::string_view arg)
+{
+    std::vector<std::string> out;
+    std::string cur;
+    for (const char ch : arg) {
+        if (ch == ',') {
+            if (!cur.empty())
+                out.push_back(cur);
+            cur.clear();
+        } else {
+            cur += ch;
+        }
+    }
+    if (!cur.empty())
+        out.push_back(cur);
+    return out;
 }
 
 void

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "charge/charge_params.hh"
@@ -34,6 +35,16 @@ enum class SchedulerKind
 
 /** Short display name of a SchedulerKind. */
 const char *schedulerKindName(SchedulerKind kind);
+
+/** CLI spelling of a SchedulerKind ("nuat", "frfcfs-open", ...); also
+ *  filesystem-safe, so it suffixes per-run output paths. */
+const char *schedulerKindKey(SchedulerKind kind);
+
+/** Parse a CLI scheduler spelling; false when unknown. */
+bool parseSchedulerKind(std::string_view name, SchedulerKind &out);
+
+/** Split a comma-separated CLI list, dropping empty items. */
+std::vector<std::string> splitCommas(std::string_view arg);
 
 /** Everything needed to run one simulation. */
 struct ExperimentConfig

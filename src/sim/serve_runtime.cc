@@ -1,24 +1,50 @@
 #include "serve_runtime.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
 #include <thread>
 
-#include "charge/cell_model.hh"
-#include "charge/sense_amp_model.hh"
-#include "charge/timing_derate.hh"
+#include "channel_stack.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "common/mpsc_queue.hh"
 #include "common/thread_annotations.hh"
-#include "dram/dram_device.hh"
-#include "mem/memory_controller.hh"
-#include "system.hh"
 #include "trace/workload_profile.hh"
-#include "verify/protocol_auditor.hh"
 
 namespace nuat {
+
+namespace {
+
+/** First / maximum pause of a producer's SpinBackoff schedule. */
+constexpr unsigned kBackoffInitialYields = 1;
+constexpr unsigned kBackoffCapYields = 1024;
+
+/** Deterministic mode: rounds between inline watchdog polls. */
+constexpr std::uint64_t kWatchdogPollRounds = 256;
+
+/** Threaded mode: monitor yields between watchdog polls. */
+constexpr unsigned kWatchdogPollYields = 4096;
+
+/** Recoveries per shard before the watchdog fails the run. */
+constexpr unsigned kWatchdogMaxRecoveries = 3;
+
+/** Ceiling the stall threshold doubles to after a recovery, and clean
+ *  polls required before it eases back one halving. */
+constexpr unsigned kWatchdogHysteresisCap = 32;
+constexpr unsigned kWatchdogCleanPolls = 16;
+
+/** The serve view of the experiment: shards are the channels. */
+ExperimentConfig
+serveExperiment(const ServeConfig &cfg)
+{
+    ExperimentConfig exp = cfg.experiment;
+    exp.geometry.channels = cfg.shards;
+    return exp;
+}
+
+} // namespace
 
 const char *
 admissionPolicyName(AdmissionPolicy policy)
@@ -63,21 +89,38 @@ ServeConfig::validate() const
                 "(admitCapacity must be positive)");
     nuat_assert(blockPushRounds >= 1 && retryPushRounds >= 1,
                 "(push-round budgets must be positive)");
-    nuat_assert(watchdogPollRounds >= 1 && watchdogPollYields >= 1 &&
-                    watchdogStallPolls >= 1 &&
-                    watchdogMaxRecoveries >= 1 &&
-                    watchdogCleanPolls >= 1,
-                "(watchdog parameters must be positive)");
-    nuat_assert(!experiment.workloads.empty(),
-                "(serve needs at least one workload profile)");
+    nuat_assert(watchdogStallPolls >= 1,
+                "(watchdogStallPolls must be positive)");
     nuat_assert(!experiment.faultsEnabled(),
                 "(serve mode has no fault world; drop --fault-profile)");
+    serveExperiment(*this).validate();
     chaos.validate();
     for (const ChaosStall &st : chaos.stalls)
         nuat_assert(st.shard < shards,
                     "(chaos stall targets shard %u but only %u shards "
                     "exist)",
                     st.shard, shards);
+}
+
+AdmissionVerdict
+admissionVerdict(const ServeConfig &cfg, unsigned cls,
+                 std::uint64_t failedAttempts)
+{
+    switch (cfg.admission) {
+      case AdmissionPolicy::kBlock:
+        return failedAttempts >= cfg.blockPushRounds
+                   ? AdmissionVerdict::kWedged
+                   : AdmissionVerdict::kRetry;
+      case AdmissionPolicy::kShed:
+        if (cls != 0)
+            return AdmissionVerdict::kShed;
+        [[fallthrough]];
+      case AdmissionPolicy::kBoundedRetry:
+        return failedAttempts >= cfg.retryPushRounds
+                   ? AdmissionVerdict::kShed
+                   : AdmissionVerdict::kRetry;
+    }
+    nuat_panic("unhandled admission policy");
 }
 
 bool
@@ -118,10 +161,14 @@ struct AdmittedReq
  */
 struct ShardState
 {
-    std::unique_ptr<TimingDerate> derate;
-    std::unique_ptr<DramDevice> dev;
-    std::unique_ptr<MemoryController> ctrl;
-    std::unique_ptr<ProtocolAuditor> auditor;
+    ShardState(const ExperimentConfig &exp, unsigned shard,
+               std::size_t queueCapacity)
+        : stack(exp, shard, nullptr),
+          ring(std::make_unique<MpscQueue<StreamRequest>>(queueCapacity))
+    {
+    }
+
+    ChannelStack stack;
     std::unique_ptr<MpscQueue<StreamRequest>> ring; //!< shared ingest
 
     ThreadConfined confined; //!< adopted by the shard thread
@@ -178,7 +225,7 @@ struct ProducerState
     std::uint64_t backoffRounds = 0;
     std::uint64_t poisonedInjected = 0;
     std::uint64_t reqIndex = 0;
-    SpinBackoff backoff{};
+    SpinBackoff backoff{kBackoffInitialYields, kBackoffCapYields};
 
     /** Per-class accounting (index = priority class). */
     std::array<std::uint64_t, kServeClasses> producedByClass{};
@@ -188,12 +235,22 @@ struct ProducerState
     std::uint64_t burstCount = 0;
     std::uint64_t gapRemaining = 0;
 
-    /** Deterministic-mode state machine: the in-flight request and
-     *  how many rounds its push has failed. */
+    /** The request being handed to its shard, and how many times its
+     *  push has failed (one attempt per deterministic round). */
     StreamRequest cur{};
     bool curValid = false;
-    std::uint64_t curRounds = 0;
+    std::uint64_t curFailures = 0;
+
+    /** Deterministic mode: the stream is exhausted. */
     bool finished = false;
+};
+
+/** What one producer step did with the current request. */
+enum class ProduceOutcome
+{
+    kAccounted, //!< pushed or shed
+    kRetry,     //!< push failed; the request stays current
+    kStop,      //!< stream exhausted, or the ring is wedged
 };
 
 /** What one shard step accomplished. */
@@ -224,11 +281,11 @@ struct WatchdogMonitor
         unsigned issued = 0;    //!< recovery requests posted
     };
 
-    WatchdogMonitor(const ServeConfig &cfg, std::size_t n)
-        : cfg_(cfg), perShard_(n)
+    WatchdogMonitor(unsigned stallPolls, std::size_t n)
+        : stallPolls_(stallPolls), perShard_(n)
     {
         for (PerShard &w : perShard_)
-            w.threshold = cfg.watchdogStallPolls;
+            w.threshold = stallPolls;
     }
 
     /**
@@ -237,12 +294,9 @@ struct WatchdogMonitor
      * shard has exhausted its recovery budget and is still frozen.
      */
     bool
-    poll(std::vector<ShardState> &shards)
+    poll(std::deque<ShardState> &shards)
     {
-        const unsigned cap =
-            cfg_.watchdogHysteresisCap > cfg_.watchdogStallPolls
-                ? cfg_.watchdogHysteresisCap
-                : cfg_.watchdogStallPolls;
+        const unsigned cap = std::max(kWatchdogHysteresisCap, stallPolls_);
         for (std::size_t i = 0; i < shards.size(); ++i) {
             ShardState &s = shards[i];
             PerShard &w = perShard_[i];
@@ -258,12 +312,9 @@ struct WatchdogMonitor
                 w.last = hb;
                 w.frozen = 0;
                 ++w.clean;
-                if (w.clean >= cfg_.watchdogCleanPolls &&
-                    w.threshold > cfg_.watchdogStallPolls) {
-                    w.threshold = w.threshold / 2 >
-                                          cfg_.watchdogStallPolls
-                                      ? w.threshold / 2
-                                      : cfg_.watchdogStallPolls;
+                if (w.clean >= kWatchdogCleanPolls &&
+                    w.threshold > stallPolls_) {
+                    w.threshold = std::max(w.threshold / 2, stallPolls_);
                     ++easeSteps;
                     w.clean = 0;
                 }
@@ -273,7 +324,7 @@ struct WatchdogMonitor
             ++w.frozen;
             if (w.frozen < w.threshold)
                 continue;
-            if (w.issued >= cfg_.watchdogMaxRecoveries) {
+            if (w.issued >= kWatchdogMaxRecoveries) {
                 error = "watchdog: shard " + std::to_string(i) +
                         " still frozen after " +
                         std::to_string(w.issued) +
@@ -285,13 +336,12 @@ struct WatchdogMonitor
             s.recoverReq.store(true, std::memory_order_release);
             ++w.issued;
             w.frozen = 0;
-            w.threshold = w.threshold * 2 > cap ? cap
-                                                : w.threshold * 2;
+            w.threshold = std::min(w.threshold * 2, cap);
         }
         return true;
     }
 
-    const ServeConfig &cfg_;
+    const unsigned stallPolls_; //!< the initial rung
     std::vector<PerShard> perShard_;
     std::uint64_t easeSteps = 0;
     std::string error;
@@ -308,47 +358,15 @@ ServeResult
 runServe(const ServeConfig &cfg)
 {
     cfg.validate();
-
-    // The serve view of the experiment: shards are the channels.
-    ExperimentConfig exp = cfg.experiment;
-    exp.geometry.channels = cfg.shards;
-
-    const CellModel cell(exp.charge);
-    const SenseAmpModel sense_amp(cell);
-    NominalTiming nominal;
-    nominal.trcd = exp.timing.tRCD;
-    nominal.tras = exp.timing.tRAS;
-    nominal.trp = exp.timing.tRP;
-
-    DramGeometry chan_geom = exp.geometry;
-    chan_geom.channels = 1;
-    ControllerConfig ctrl_cfg = exp.controller;
-    ctrl_cfg.channels = cfg.shards;
+    const ExperimentConfig exp = serveExperiment(cfg);
 
     // Build every shard stack on this thread; shard threads take over
-    // after launch.  Each shard gets its own TimingDerate so no lazy
-    // charge-model state is ever shared across threads.
-    std::vector<ShardState> shards(cfg.shards);
-    for (auto &s : shards) {
-        s.derate = std::make_unique<TimingDerate>(sense_amp, nominal,
-                                                  exp.memClock());
-        s.dev = std::make_unique<DramDevice>(chan_geom, exp.timing,
-                                             *s.derate, exp.memClock());
-        s.ctrl = std::make_unique<MemoryController>(
-            *s.dev, makeSchedulerFor(exp, *s.derate), ctrl_cfg);
-        if (exp.audit) {
-            AuditorConfig acfg;
-            acfg.geometry = chan_geom;
-            acfg.timing = exp.timing;
-            acfg.clock = exp.memClock();
-            acfg.derate = s.derate.get();
-            acfg.maxMessages = exp.auditMaxMessages;
-            s.auditor = std::make_unique<ProtocolAuditor>(acfg);
-            s.dev->addObserver(s.auditor.get());
-        }
-        s.ring =
-            std::make_unique<MpscQueue<StreamRequest>>(cfg.queueCapacity);
-        s.ctrl->setReadCallback(
+    // after launch.  Each stack owns its TimingDerate, so no charge
+    // model state is ever shared across threads.
+    std::deque<ShardState> shards;
+    for (unsigned i = 0; i < cfg.shards; ++i) {
+        ShardState &s = shards.emplace_back(exp, i, cfg.queueCapacity);
+        s.stack.controller().setReadCallback(
             [sp = &s](const Waiter &w, Addr, Cycle data_at) {
                 ++sp->readsDone;
                 const std::size_t cls = static_cast<std::size_t>(
@@ -380,8 +398,6 @@ runServe(const ServeConfig &cfg)
             cfg.requestsPerProducer,
             (i * stride) % exp.geometry.rows);
         producers[i].producerIdx = i;
-        producers[i].backoff = SpinBackoff(cfg.backoffInitialYields,
-                                           cfg.backoffCapYields);
     }
 
     // ChannelMux's routing rule, shared read-only by every producer.
@@ -397,39 +413,73 @@ runServe(const ServeConfig &cfg)
 
     Mutex errorsMu;
     std::vector<std::string> errors NUAT_GUARDED_BY(errorsMu);
-    auto recordError = [&](std::string msg) {
-        MutexLock lock(errorsMu);
-        errors.push_back(std::move(msg));
+    // Record why the run fails, then stop every worker.
+    auto failRun = [&](std::string msg) {
+        {
+            MutexLock lock(errorsMu);
+            errors.push_back(std::move(msg));
+        }
+        // release: the error record happens-before any worker
+        // observing the abort.
+        abortRun.store(true, std::memory_order_release);
     };
 
-    WatchdogMonitor watch(cfg, shards.size());
+    WatchdogMonitor watch(cfg.watchdogStallPolls, shards.size());
     const Cycle cap = exp.maxMemCycles;
 
-    // Draw the next request from a producer's stream, applying the
-    // chaos poison draw (stateless hash of (seed, producer, index) —
-    // both execution modes inject identical poison).
-    auto drawNext = [&](ProducerState &p, StreamRequest &r) {
-        if (!p.stream->next(r))
-            return false;
-        if (chaosPoisons(cfg.chaos, exp.seed, p.producerIdx,
-                         p.reqIndex)) {
-            r.poisoned = true;
-            ++p.poisonedInjected;
+    /**
+     * One producer step, shared by both execution modes: draw a
+     * request when none is current (applying the chaos poison draw, a
+     * stateless hash of (seed, producer, index), so both modes inject
+     * identical poison), try to push it, and on a full ring do what
+     * admissionVerdict() says.  A pushed or shed request advances the
+     * chaos burst count, and the last one of a burst starts its gap.
+     * The drivers add only pacing: the threaded one backs off between
+     * retries and yields through burst gaps, the deterministic one
+     * spends a gap in rounds and budgets pushes per round.
+     */
+    auto produceStep = [&](ProducerState &p) -> ProduceOutcome {
+        if (!p.curValid) {
+            if (!p.stream->next(p.cur))
+                return ProduceOutcome::kStop;
+            if (chaosPoisons(cfg.chaos, exp.seed, p.producerIdx,
+                             p.reqIndex)) {
+                p.cur.poisoned = true;
+                ++p.poisonedInjected;
+            }
+            ++p.producedByClass[p.cur.cls];
+            ++p.reqIndex;
+            p.curValid = true;
+            p.curFailures = 0;
         }
-        ++p.producedByClass[r.cls];
-        ++p.reqIndex;
-        return true;
-    };
-
-    auto advanceBurst = [&](ProducerState &p) {
-        if (cfg.chaos.burstLen == 0)
-            return false;
-        if (++p.burstCount >= cfg.chaos.burstLen) {
+        const unsigned shard = mapping.decompose(p.cur.addr).channel;
+        if (shards[shard].ring->tryPush(p.cur)) {
+            ++p.pushed;
+        } else {
+            ++p.yields;
+            ++p.curFailures;
+            switch (admissionVerdict(cfg, p.cur.cls, p.curFailures)) {
+              case AdmissionVerdict::kRetry:
+                return ProduceOutcome::kRetry;
+              case AdmissionVerdict::kWedged:
+                failRun("producer " + std::to_string(p.producerIdx) +
+                        ": shard " + std::to_string(shard) +
+                        " ring still full after " +
+                        std::to_string(p.curFailures) +
+                        " push attempts; declaring it wedged");
+                return ProduceOutcome::kStop;
+              case AdmissionVerdict::kShed:
+                ++p.shedByClass[p.cur.cls];
+                break;
+            }
+        }
+        p.curValid = false;
+        if (cfg.chaos.burstLen > 0 &&
+            ++p.burstCount >= cfg.chaos.burstLen) {
             p.burstCount = 0;
             p.gapRemaining = cfg.chaos.burstGap;
-            return true;
         }
-        return false;
+        return ProduceOutcome::kAccounted;
     };
 
     /**
@@ -474,22 +524,22 @@ runServe(const ServeConfig &cfg)
         // Ingest: ring → admitted stage.  Poisoned payloads fail the
         // integrity check here and are shed before ever reaching the
         // controller.
-        unsigned moved = 0;
-        while (moved < cfg.ingestBatch &&
-               s.admitted.size() < cfg.admitCapacity) {
-            StreamRequest r;
-            if (!s.ring->tryPop(r))
-                break;
-            ++moved;
-            if (r.poisoned) {
+        const auto admit = [&s](const StreamRequest &r) {
+            if (r.poisoned)
                 ++s.poisonShed[r.cls];
-                continue;
-            }
-            s.admitted.push_back(AdmittedReq{r, s.now});
-        }
+            else
+                s.admitted.push_back(AdmittedReq{r, s.now});
+        };
+        StreamRequest r;
+        for (unsigned moved = 0; moved < cfg.ingestBatch &&
+                                 s.admitted.size() < cfg.admitCapacity &&
+                                 s.ring->tryPop(r);
+             ++moved)
+            admit(r);
 
         // Dispatch: admitted → controller, expiring overdue heads.
         // Deadlines are shard-local cycles since the admit stamp.
+        MemoryController &ctrl = s.stack.controller();
         while (!s.admitted.empty()) {
             const AdmittedReq &a = s.admitted.front();
             const Cycle deadline = cfg.deadlineCycles[a.req.cls];
@@ -499,15 +549,15 @@ runServe(const ServeConfig &cfg)
                 continue;
             }
             if (a.req.isWrite) {
-                if (!s.ctrl->canAcceptWrite(a.req.addr))
+                if (!ctrl.canAcceptWrite(a.req.addr))
                     break;
-                s.ctrl->enqueueWrite(a.req.addr, s.now);
+                ctrl.enqueueWrite(a.req.addr, s.now);
                 ++s.writes;
                 ++s.retiredByClass[a.req.cls];
             } else {
-                if (!s.ctrl->canAcceptRead(a.req.addr))
+                if (!ctrl.canAcceptRead(a.req.addr))
                     break;
-                s.ctrl->enqueueRead(
+                ctrl.enqueueRead(
                     a.req.addr,
                     Waiter{static_cast<int>(a.req.cls), a.admitAt},
                     s.now);
@@ -516,22 +566,17 @@ runServe(const ServeConfig &cfg)
             s.admitted.pop_front();
         }
 
-        if (s.ctrl->idle() && s.admitted.empty()) {
+        if (ctrl.idle() && s.admitted.empty()) {
             // Drained.  Either the run is over or the producers are
             // just slower than this shard: re-check the ring *after*
             // observing the done flag, closing the race with a
             // producer's final push.  acquire: pairs with the
             // launcher's release store after the join.
             if (producersDone.load(std::memory_order_acquire)) {
-                StreamRequest r;
-                if (s.ring->tryPop(r)) {
-                    if (r.poisoned)
-                        ++s.poisonShed[r.cls];
-                    else
-                        s.admitted.push_back(AdmittedReq{r, s.now});
-                    return StepOutcome::kProgress;
-                }
-                return StepOutcome::kDone;
+                if (!s.ring->tryPop(r))
+                    return StepOutcome::kDone;
+                admit(r);
+                return StepOutcome::kProgress;
             }
             return StepOutcome::kIdle;
         }
@@ -540,7 +585,7 @@ runServe(const ServeConfig &cfg)
             s.hitCap = true;
             return StepOutcome::kDone;
         }
-        s.ctrl->tick(s.now);
+        ctrl.tick(s.now);
         ++s.now;
         return StepOutcome::kProgress;
     };
@@ -564,68 +609,30 @@ runServe(const ServeConfig &cfg)
     auto producerMain = [&](ProducerState &p) {
         // Adopt the producer state: off-thread touches panic (debug).
         p.confined.assertOwned("ProducerState");
-        StreamRequest r;
+        // acquire: observe the failing worker's error record.
         while (!abortRun.load(std::memory_order_acquire)) {
-            if (!drawNext(p, r))
-                break;
-            const unsigned shard = mapping.decompose(r.addr).channel;
-            MpscQueue<StreamRequest> &ring = *shards[shard].ring;
-            p.backoff.reset();
-            std::uint64_t attempts = 0;
-            bool pushed = false;
-            for (;;) {
-                if (ring.tryPush(r)) {
-                    pushed = true;
-                    break;
-                }
-                ++attempts;
-                ++p.yields;
-                // Admission policy decides what a full ring costs.
-                if (cfg.admission == AdmissionPolicy::kShed &&
-                    r.cls != 0)
-                    break; // shed best-effort classes immediately
-                if (cfg.admission != AdmissionPolicy::kBlock &&
-                    attempts >= cfg.retryPushRounds)
-                    break; // bounded retry budget spent
-                if (cfg.admission == AdmissionPolicy::kBlock &&
-                    attempts >= cfg.blockPushRounds) {
-                    recordError(
-                        "producer " +
-                        std::to_string(p.producerIdx) + ": shard " +
-                        std::to_string(shard) + " ring still full "
-                        "after " + std::to_string(attempts) +
-                        " push attempts; declaring it wedged");
-                    // release: the error record happens-before any
-                    // worker observing the abort.
-                    abortRun.store(true, std::memory_order_release);
-                    break;
-                }
+            const ProduceOutcome o = produceStep(p);
+            if (o == ProduceOutcome::kStop)
+                return;
+            if (o == ProduceOutcome::kRetry) {
                 ++p.backoffRounds;
                 p.yields += p.backoff.pause();
-                if (abortRun.load(std::memory_order_acquire))
-                    break;
+                continue;
             }
-            if (pushed)
-                ++p.pushed;
-            else
-                ++p.shedByClass[r.cls];
-            if (advanceBurst(p)) {
-                // Burst gap: pause without pushing (chaos pacing).
-                for (std::uint64_t i = 0;
-                     i < p.gapRemaining &&
-                     !abortRun.load(std::memory_order_relaxed);
-                     ++i)
-                    std::this_thread::yield();
-                p.gapRemaining = 0;
-            }
+            p.backoff.reset();
+            // Burst gap: pause without pushing (chaos pacing).
+            for (; p.gapRemaining > 0 &&
+                   !abortRun.load(std::memory_order_relaxed);
+                 --p.gapRemaining)
+                std::this_thread::yield();
         }
     };
 
     /**
      * One deterministic producer round: honor the burst gap, then
-     * attempt up to the round's push budget.  A failed push costs the
-     * round (one attempt per round — `curRounds` is the deterministic
-     * stand-in for the threaded retry count).
+     * step up to the round's push budget, which inside a burst is the
+     * rest of the burst.  A failed push ends the round (one attempt
+     * per round, so `curFailures` counts rounds).
      * @return true when the producer has nothing left to do.
      */
     auto producerStepDet = [&](ProducerState &p) -> bool {
@@ -640,51 +647,14 @@ runServe(const ServeConfig &cfg)
             cfg.chaos.burstLen > 0
                 ? cfg.chaos.burstLen - p.burstCount
                 : kDetPushesPerRound;
-        while (budget > 0) {
-            if (!p.curValid) {
-                if (!drawNext(p, p.cur)) {
-                    p.finished = true;
-                    return true;
-                }
-                p.curValid = true;
-                p.curRounds = 0;
-            }
-            const unsigned shard =
-                mapping.decompose(p.cur.addr).channel;
-            if (shards[shard].ring->tryPush(p.cur)) {
-                ++p.pushed;
-                p.curValid = false;
-                --budget;
-                if (advanceBurst(p))
-                    return false; // gap starts next round
-                continue;
-            }
-            ++p.yields;
-            ++p.curRounds;
-            const std::uint8_t cls = p.cur.cls;
-            if ((cfg.admission == AdmissionPolicy::kShed &&
-                 cls != 0) ||
-                (cfg.admission != AdmissionPolicy::kBlock &&
-                 p.curRounds >= cfg.retryPushRounds)) {
-                ++p.shedByClass[cls];
-                p.curValid = false;
-                --budget;
-                if (advanceBurst(p))
-                    return false;
-                continue;
-            }
-            if (cfg.admission == AdmissionPolicy::kBlock &&
-                p.curRounds >= cfg.blockPushRounds) {
-                recordError(
-                    "producer " + std::to_string(p.producerIdx) +
-                    ": shard " + std::to_string(shard) +
-                    " ring still full after " +
-                    std::to_string(p.curRounds) +
-                    " push rounds; declaring it wedged");
-                abortRun.store(true, std::memory_order_release);
+        for (; budget > 0; --budget) {
+            const ProduceOutcome o = produceStep(p);
+            if (o == ProduceOutcome::kStop) {
+                p.finished = true;
                 return true;
             }
-            return false; // one failed attempt per round
+            if (o == ProduceOutcome::kRetry)
+                return false;
         }
         return false;
     };
@@ -698,11 +668,9 @@ runServe(const ServeConfig &cfg)
         bool allProducersFinished = false;
         for (std::uint64_t round = 0;; ++round) {
             if (round >= roundCap) {
-                recordError("deterministic serve exceeded " +
-                            std::to_string(roundCap) +
-                            " rounds without draining; declaring "
-                            "livelock");
-                abortRun.store(true, std::memory_order_release);
+                failRun("deterministic serve exceeded " +
+                        std::to_string(roundCap) +
+                        " rounds without draining; declaring livelock");
                 break;
             }
             if (!allProducersFinished) {
@@ -727,10 +695,9 @@ runServe(const ServeConfig &cfg)
             if (abortRun.load(std::memory_order_acquire))
                 break;
             if (cfg.watchdog && round > 0 &&
-                round % cfg.watchdogPollRounds == 0) {
+                round % kWatchdogPollRounds == 0) {
                 if (!watch.poll(shards)) {
-                    recordError(watch.error);
-                    abortRun.store(true, std::memory_order_release);
+                    failRun(watch.error);
                     break;
                 }
             }
@@ -757,14 +724,12 @@ runServe(const ServeConfig &cfg)
                     if (allDone)
                         return;
                     for (unsigned i = 0;
-                         i < cfg.watchdogPollYields &&
+                         i < kWatchdogPollYields &&
                          !abortRun.load(std::memory_order_relaxed);
                          ++i)
                         std::this_thread::yield();
                     if (!watch.poll(shards)) {
-                        recordError(watch.error);
-                        abortRun.store(true,
-                                       std::memory_order_release);
+                        failRun(watch.error);
                         return;
                     }
                 }
@@ -816,8 +781,9 @@ runServe(const ServeConfig &cfg)
             res.maxShardCycles = s.now;
         res.totalShardCycles += s.now;
         res.hitCycleCap = res.hitCycleCap || s.hitCap;
-        latency_sum += s.ctrl->stats().readLatencySum;
-        completed += s.ctrl->stats().readsCompleted;
+        const ControllerStats &cs = s.stack.controller().stats();
+        latency_sum += cs.readLatencySum;
+        completed += cs.readsCompleted;
         for (unsigned k = 0; k < kServeClasses; ++k) {
             res.classes[k].retired += s.retiredByClass[k];
             res.classes[k].shedTimeout += s.timeoutShed[k];
@@ -843,7 +809,8 @@ runServe(const ServeConfig &cfg)
     if (exp.audit) {
         AuditReport merged;
         for (const auto &s : shards)
-            merged.merge(s.auditor->report(), exp.auditMaxMessages);
+            merged.merge(s.stack.auditor()->report(),
+                         exp.auditMaxMessages);
         res.audited = true;
         res.auditCommandsChecked = merged.commandsChecked;
         res.auditViolations = merged.violations;

@@ -15,19 +15,20 @@
  * take, so serve mode is the multi-channel system with the channel
  * loop unrolled onto threads.
  *
- * Clock-domain rule: every shard owns its full stack (TimingDerate,
- * DramDevice, MemoryController, Scheduler, optional ProtocolAuditor)
- * and advances its own cycle counter only while it has work; shard
- * clocks are never compared or synchronized.  Nothing is shared
- * between shard threads but the ingest rings and a handful of
- * annotated atomics (producers-done flag, per-shard heartbeat /
- * recovery-request words), which keeps the runtime TSan-clean by
- * construction.  The confinement is enforced twice over: debug builds
- * assert the owner thread on every shard/producer loop entry
- * (ThreadConfined, common/thread_annotations.hh — the controller and
- * device assert their own confinement too), and the lock-discipline /
- * atomic-ordering lint rules keep the shared atomics' protocols
- * explicit.
+ * Clock-domain rule: every shard owns its full ChannelStack
+ * (channel_stack.hh: the same TimingDerate, DramDevice,
+ * MemoryController, Scheduler and optional ProtocolAuditor System
+ * builds per channel) and advances its own cycle counter only while
+ * it has work; shard clocks are never compared or synchronized.
+ * Nothing is shared between shard threads but the ingest rings and a
+ * handful of annotated atomics (producers-done flag, per-shard
+ * heartbeat / recovery-request words), which keeps the runtime
+ * TSan-clean by construction.  The confinement is enforced twice
+ * over: debug builds assert the owner thread on every shard/producer
+ * loop entry (ThreadConfined, common/thread_annotations.hh — the
+ * controller and device assert their own confinement too), and the
+ * lock-discipline / atomic-ordering lint rules keep the shared
+ * atomics' protocols explicit.
  *
  * Overload resilience (PR 10) adds four cooperating mechanisms:
  *
@@ -36,7 +37,9 @@
  *    backoff, aborting with an error after `blockPushRounds` failed
  *    attempts on one request; `bounded` — retry `retryPushRounds`
  *    times then shed; `shed` — shed low-priority classes immediately,
- *    retry only class 0).  Every shed is accounted per priority class.
+ *    retry only class 0).  admissionVerdict() is the one place that
+ *    decision is made; both execution modes run the same producer
+ *    step around it.  Every shed is accounted per priority class.
  *
  *  - Deadlines: a request is stamped with the shard's local clock when
  *    it leaves the ring; if it waits longer than its class's
@@ -49,10 +52,11 @@
  *    consecutive polls and posts a recovery request.  A stalled shard
  *    honors it (drain-checkpoint-restart of the stall), the watchdog
  *    doubles that shard's stall threshold (hysteresis, mirroring the
- *    GuardbandManager ladder) and eases it back after
- *    `watchdogCleanPolls` clean polls.  Recoveries are capped at
- *    `watchdogMaxRecoveries` per shard; an exhausted shard fails the
- *    run rather than hang it.
+ *    GuardbandManager ladder, up to 32 polls or the initial rung if
+ *    higher) and eases it back one halving after 16 clean polls.
+ *    Recoveries are capped at 3 per shard; an exhausted shard fails
+ *    the run rather than hang it.  These cadences are constants of
+ *    the runtime (serve_runtime.cc, `kWatchdog*`), not settings.
  *
  *  - Chaos injection: a ChaosProfile (src/fault/chaos_profile.hh)
  *    schedules producer burst storms, poisoned requests (shed by the
@@ -126,15 +130,25 @@ const char *admissionPolicyName(AdmissionPolicy policy);
 bool parseAdmissionPolicy(const std::string &name,
                           AdmissionPolicy *out);
 
+/** What a producer does after a failed push (see admissionVerdict). */
+enum class AdmissionVerdict
+{
+    kRetry,  //!< try the same request again
+    kShed,   //!< drop it (an admission shed of its class)
+    kWedged, //!< kBlock budget spent: fail the run
+};
+
 /** Configuration of one serve run. */
 struct ServeConfig
 {
     /**
      * Base experiment: geometry, timing, charge model, scheduler
-     * kind, workloads (one stream profile per producer, cycled), seed
-     * and audit flag are honored.  Core/ROB, metrics and fault
-     * options are ignored — serve mode has no CPU model and no fault
-     * world.  geometry.channels is overridden with `shards`.
+     * kind, refresh mode and policy, workloads (one stream profile per
+     * producer, cycled), seed and audit flag are honored, and the
+     * whole config must pass ExperimentConfig::validate() with
+     * geometry.channels overridden by `shards`.  Core/ROB and metrics
+     * options are ignored (serve mode has no CPU model); a fault
+     * profile is rejected (serve mode has no fault world).
      */
     ExperimentConfig experiment;
 
@@ -156,10 +170,6 @@ struct ServeConfig
     /** Full-ring policy (see AdmissionPolicy). */
     AdmissionPolicy admission = AdmissionPolicy::kBlock;
 
-    /** First / maximum pause of the producer SpinBackoff schedule. */
-    unsigned backoffInitialYields = 1;
-    unsigned backoffCapYields = 1024;
-
     /** kBlock: failed push attempts on one request before the
      *  producer declares the ring wedged and fails the run. */
     std::uint64_t blockPushRounds = std::uint64_t{1} << 16;
@@ -179,24 +189,9 @@ struct ServeConfig
     /** Stall detection & recovery (see file comment). */
     bool watchdog = true;
 
-    /** Deterministic mode: rounds between inline watchdog polls.
-     *  Threaded mode: the monitor polls every `watchdogPollYields`
-     *  yields instead. */
-    std::uint64_t watchdogPollRounds = 256;
-    unsigned watchdogPollYields = 4096;
-
     /** Consecutive frozen-heartbeat polls before a recovery request
      *  (the initial rung of the hysteresis ladder). */
     unsigned watchdogStallPolls = 4;
-
-    /** Recoveries per shard before the watchdog gives up and fails
-     *  the run. */
-    unsigned watchdogMaxRecoveries = 3;
-
-    /** Ceiling the stall threshold doubles to after a recovery, and
-     *  clean polls required before it eases back one halving. */
-    unsigned watchdogHysteresisCap = 32;
-    unsigned watchdogCleanPolls = 16;
 
     /** Injected serving-layer chaos (default: none). */
     ChaosProfile chaos;
@@ -210,6 +205,17 @@ struct ServeConfig
     /** Panics unless internally consistent. */
     void validate() const;
 };
+
+/**
+ * The admission decision after @p failedAttempts (>= 1) failed pushes
+ * of one request of priority class @p cls under @p cfg's policy:
+ * kShed sheds classes 1+ at once; kBoundedRetry, and class 0 under
+ * kShed, shed after `retryPushRounds` failures; kBlock never sheds and
+ * is wedged after `blockPushRounds` failures.
+ */
+AdmissionVerdict admissionVerdict(const ServeConfig &cfg,
+                                  unsigned cls,
+                                  std::uint64_t failedAttempts);
 
 /** Per-priority-class accounting; conservation holds per class. */
 struct ServeClassStats

@@ -1,7 +1,8 @@
 /**
  * @file
- * Full-system wiring: charge model -> DRAM devices (one per channel) ->
- * controllers + schedulers -> cores with synthetic traces.
+ * Full-system wiring: one ChannelStack per channel (charge model ->
+ * DRAM device -> controller + scheduler) -> cores with synthetic
+ * traces.
  *
  * Multi-channel operation follows the Memory Scheduling Championship
  * convention: channels interleave at cache-line granularity, each
@@ -16,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "channel_stack.hh"
 #include "charge/cell_model.hh"
 #include "charge/sense_amp_model.hh"
 #include "charge/timing_derate.hh"
@@ -32,16 +34,6 @@
 #include "verify/trace_capture.hh"
 
 namespace nuat {
-
-/**
- * Build the scheduler @p cfg requests, using @p derate as the charge
- * model behind NUAT's PB table.  One instance per channel (System) or
- * per shard (the serve runtime): schedulers hold per-channel state and
- * are never shared.
- */
-std::unique_ptr<Scheduler>
-makeSchedulerFor(const ExperimentConfig &cfg,
-                 const TimingDerate &derate);
 
 /** Routes core requests to the owning channel's controller. */
 class ChannelMux : public MemoryPort
@@ -89,7 +81,7 @@ class System
     /** Number of channels. */
     unsigned channels() const
     {
-        return static_cast<unsigned>(controllers_.size());
+        return static_cast<unsigned>(stacks_.size());
     }
 
     /** The cores. */
@@ -122,14 +114,14 @@ class System
     /** Auditor of @p channel; null unless cfg.audit. */
     const ProtocolAuditor *auditor(unsigned channel = 0) const
     {
-        return channel < auditors_.size() ? auditors_[channel].get()
-                                          : nullptr;
+        return channel < stacks_.size() ? stacks_[channel].auditor()
+                                        : nullptr;
     }
 
     /** Fault world of @p channel; null unless cfg.faultsEnabled(). */
     const FaultModel *faultModel(unsigned channel = 0) const
     {
-        return channel < faults_.size() ? faults_[channel].get()
+        return channel < stacks_.size() ? stacks_[channel].faultModel()
                                         : nullptr;
     }
 
@@ -143,9 +135,6 @@ class System
     }
 
   private:
-    /** Build the scheduler requested by the config. */
-    std::unique_ptr<Scheduler> makeScheduler() const;
-
     /**
      * Fast-forward now_ to the next cycle at which any component can
      * act, when that cycle is provably in the future (no queued
@@ -165,16 +154,13 @@ class System
     std::unique_ptr<std::ofstream> traceOut_;
     std::unique_ptr<TraceEventSink> traceSink_;
     std::unique_ptr<IntervalSampler> sampler_;
-    std::unique_ptr<TimingDerate> derate_;
-    // Declared before the devices/auditors that hold raw pointers into
-    // them, so the fault worlds outlive every observer.
-    std::vector<std::unique_ptr<FaultModel>> faults_;
-    std::vector<std::unique_ptr<DramDevice>> devices_;
-    std::vector<std::unique_ptr<MemoryController>> controllers_;
+    // One stack per channel; each destroys its auditor before the
+    // device and fault world it observes.  Declared before the mux and
+    // cores that hold raw pointers into the controllers.
+    std::vector<ChannelStack> stacks_;
     std::unique_ptr<ChannelMux> mux_;
     std::vector<std::unique_ptr<SyntheticTrace>> traces_;
     std::vector<std::unique_ptr<CoreModel>> cores_;
-    std::vector<std::unique_ptr<ProtocolAuditor>> auditors_;
     std::unique_ptr<CommandTraceWriter> traceWriter_;
     Cycle now_ = 0;
     Cycle idleCyclesSkipped_ = 0;

@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "common/logging.hh"
 #include "sim/serve_runtime.hh"
@@ -137,6 +139,13 @@ TEST(ServeRuntime, ValidateRejectsBadConfigs)
     cfg.chaos.stalls = {{9, 100, 100}}; // shard 9 does not exist
     EXPECT_THROW(cfg.validate(), std::logic_error);
 
+    // The experiment itself must be valid, as System requires: DARP
+    // reorders per-bank refreshes, and the default preset refreshes
+    // all banks at once.
+    cfg = smallConfig();
+    cfg.experiment.controller.refreshPolicy = RefreshPolicy::kDarp;
+    EXPECT_THROW(cfg.validate(), std::logic_error);
+
     setPanicThrows(false);
 }
 
@@ -204,6 +213,44 @@ TEST(ServeRuntime, ShedPolicyProtectsClassZero)
     const double loRate = static_cast<double>(lo.shedAdmission) /
                           static_cast<double>(lo.produced);
     EXPECT_LE(hiRate, loRate);
+}
+
+TEST(ServeRuntime, AdmissionVerdictTable)
+{
+    ServeConfig cfg;
+    cfg.retryPushRounds = 8;
+    cfg.blockPushRounds = 100;
+    constexpr AdmissionVerdict R = AdmissionVerdict::kRetry;
+    constexpr AdmissionVerdict S = AdmissionVerdict::kShed;
+    constexpr AdmissionVerdict W = AdmissionVerdict::kWedged;
+    struct Row
+    {
+        AdmissionPolicy policy;
+        unsigned cls;
+        // failed attempts: 1, retry - 1, retry, block - 1, block
+        std::array<AdmissionVerdict, 5> want;
+    };
+    const Row rows[] = {
+        {AdmissionPolicy::kBlock, 0, {R, R, R, R, W}},
+        {AdmissionPolicy::kBlock, 1, {R, R, R, R, W}},
+        {AdmissionPolicy::kBoundedRetry, 0, {R, R, S, S, S}},
+        {AdmissionPolicy::kBoundedRetry, 1, {R, R, S, S, S}},
+        {AdmissionPolicy::kShed, 0, {R, R, S, S, S}},
+        {AdmissionPolicy::kShed, 1, {S, S, S, S, S}},
+        {AdmissionPolicy::kShed, 2, {S, S, S, S, S}},
+    };
+    const std::uint64_t attempts[] = {
+        1, cfg.retryPushRounds - 1, cfg.retryPushRounds,
+        cfg.blockPushRounds - 1, cfg.blockPushRounds};
+    for (const Row &row : rows) {
+        cfg.admission = row.policy;
+        for (std::size_t i = 0; i < row.want.size(); ++i) {
+            EXPECT_EQ(admissionVerdict(cfg, row.cls, attempts[i]),
+                      row.want[i])
+                << admissionPolicyName(row.policy) << " class "
+                << row.cls << " after " << attempts[i] << " failures";
+        }
+    }
 }
 
 TEST(ServeRuntime, FullRingTerminatesWithError)
@@ -329,45 +376,43 @@ TEST(ServeRuntime, DeterministicRunsAreByteIdentical)
     }
 }
 
-/** A deterministic, audited serve run on @p gen's preset. */
-ServeResult
-runAuditedGen(DramGen gen, RefreshMode mode, RefreshPolicy policy)
-{
-    ServeConfig cfg = smallConfig();
-    cfg.deterministic = true;
-    cfg.requestsPerProducer = 2000;
-    cfg.experiment.audit = true;
-    cfg.experiment.applyDramGen(gen, mode);
-    cfg.experiment.controller.refreshPolicy = policy;
-    return runServe(cfg);
-}
-
-TEST(ServeRuntime, Ddr4ShardsRunAtThePresetClock)
+TEST(ServeRuntime, EveryPresetAndRefreshModeRunsAudited)
 {
     // Each shard's charge model, device and auditor must run at the
-    // preset's bus clock, not the DDR3 default.
-    const ServeResult res =
-        runAuditedGen(DramGen::kDdr4_2400, RefreshMode::kAllBank,
-                      RefreshPolicy::kInOrder);
-    EXPECT_FALSE(res.failed);
-    EXPECT_TRUE(res.audited);
-    EXPECT_GT(res.auditCommandsChecked, 0u);
-    EXPECT_EQ(res.auditViolations, 0u);
-    EXPECT_TRUE(res.conserves());
-    EXPECT_EQ(res.requestsRetired, res.requestsProduced);
-}
+    // preset's bus clock, and every refresh policy must stay inside
+    // the auditor's envelope on every generation.
+    for (const DramGen gen : {DramGen::kDdr3_1600, DramGen::kDdr4_2400,
+                              DramGen::kDdr5_4800}) {
+        for (const RefreshMode mode :
+             {RefreshMode::kAllBank, RefreshMode::kPerBank}) {
+            for (const RefreshPolicy policy :
+                 {RefreshPolicy::kInOrder, RefreshPolicy::kDarp,
+                  RefreshPolicy::kSarp}) {
+                if (mode == RefreshMode::kAllBank &&
+                    policy != RefreshPolicy::kInOrder)
+                    continue; // nothing to reorder
+                ServeConfig cfg = smallConfig();
+                cfg.deterministic = true;
+                cfg.requestsPerProducer = 2000;
+                cfg.experiment.audit = true;
+                cfg.experiment.applyDramGen(gen, mode);
+                cfg.experiment.controller.refreshPolicy = policy;
+                const ServeResult res = runServe(cfg);
 
-TEST(ServeRuntime, Ddr5PerBankDarpShardsRunAtThePresetClock)
-{
-    const ServeResult res =
-        runAuditedGen(DramGen::kDdr5_4800, RefreshMode::kPerBank,
-                      RefreshPolicy::kDarp);
-    EXPECT_FALSE(res.failed);
-    EXPECT_TRUE(res.audited);
-    EXPECT_GT(res.auditCommandsChecked, 0u);
-    EXPECT_EQ(res.auditViolations, 0u);
-    EXPECT_TRUE(res.conserves());
-    EXPECT_EQ(res.requestsRetired, res.requestsProduced);
+                SCOPED_TRACE(std::string(dramGenName(gen)) +
+                             (mode == RefreshMode::kPerBank
+                                  ? " per-bank "
+                                  : " all-bank ") +
+                             refreshPolicyName(policy));
+                EXPECT_FALSE(res.failed);
+                EXPECT_TRUE(res.audited);
+                EXPECT_GT(res.auditCommandsChecked, 0u);
+                EXPECT_EQ(res.auditViolations, 0u);
+                EXPECT_TRUE(res.conserves());
+                EXPECT_EQ(res.requestsRetired, res.requestsProduced);
+            }
+        }
+    }
 }
 
 TEST(ServeRuntime, DrainOnStopConservesInFlight)

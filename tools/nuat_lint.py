@@ -73,6 +73,12 @@ ever runs:
                      call ``canIssue``/``earliestIssueAt`` — sharing the
                      hot path's timing tables would let one bug hide
                      in both.
+  channel-stack      no ``DramDevice``/``MemoryController`` is built
+                     (``make_unique``/``make_shared``, ``new`` or a
+                     named object) under ``src/`` outside
+                     ``src/sim/channel_stack.cc``: System and the serve
+                     runtime wire a channel through one ChannelStack,
+                     so their stacks cannot drift apart.
   include-guard      every header carries the canonical
                      ``NUAT_<PATH>_HH`` guard with a matching
                      ``#endif // NUAT_<PATH>_HH``.
@@ -951,6 +957,37 @@ def check_auditor_independence(relpath, text, stripped):
     return findings
 
 
+# ---------------------------------------------------------------------------
+# Rule: channel-stack
+# ---------------------------------------------------------------------------
+
+CHANNEL_STACK_FILE = "src/sim/channel_stack.cc"
+STACK_PART_BUILD_RE = re.compile(
+    r"\b(?:make_unique|make_shared)\s*<\s*(DramDevice|MemoryController)\s*>"
+    r"|\bnew\s+(DramDevice|MemoryController)\b"
+    r"|\b(DramDevice|MemoryController)\s+[A-Za-z_]\w*\s*[({]"
+)
+
+
+def check_channel_stack(relpath, text, stripped):
+    if not relpath.startswith("src/") or relpath == CHANNEL_STACK_FILE:
+        return []
+    findings = []
+    for m in STACK_PART_BUILD_RE.finditer(stripped):
+        part = next(g for g in m.groups() if g)
+        findings.append(
+            Finding(
+                relpath,
+                _line_of(stripped, m.start()),
+                "channel-stack",
+                "%s built outside %s — construct a ChannelStack so "
+                "every front end wires a channel the same way"
+                % (part, CHANNEL_STACK_FILE),
+            )
+        )
+    return findings
+
+
 RULES = {
     "metric-pairing": check_metric_pairing,
     "observer-purity": check_observer_purity,
@@ -962,6 +999,7 @@ RULES = {
     "atomic-ordering": check_atomic_ordering,
     "lock-discipline": check_lock_discipline,
     "auditor-independence": check_auditor_independence,
+    "channel-stack": check_channel_stack,
     "include-guard": check_include_guard,
     "header-hygiene": check_header_hygiene,
 }
@@ -1178,6 +1216,19 @@ struct Racy
 bool shortcut(const DramDevice &dev, const Command &cmd, Cycle now)
 {
     return dev.canIssue(cmd, now) && dev.earliestIssueAt(cmd) <= now;
+}
+""",
+    ),
+    "channel-stack": (
+        "src/sim/broken_stack.cc",
+        """
+// std::make_unique<DramDevice>(...) in a comment is fine
+void wire(const DramGeometry &g, const TimingParams &tp,
+          const TimingDerate &derate, ControllerConfig cfg)
+{
+    auto dev = std::make_unique<DramDevice>(g, tp, derate);
+    DramDevice local(g, tp, derate);
+    MemoryController *mc = new MemoryController(*dev, nullptr, cfg);
 }
 """,
     ),

@@ -69,25 +69,6 @@ constexpr int kExitAudit = 2;
 constexpr int kExitUsage = 64;    //!< EX_USAGE: bad command line
 constexpr int kExitBadInput = 65; //!< EX_DATAERR: malformed input
 
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char ch : arg) {
-        if (ch == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
 /** Strict unsigned parse; a garbage value is a usage error (64). */
 std::uint64_t
 parseCount(const std::string &flag, const char *v)
@@ -102,26 +83,6 @@ parseCount(const std::string &flag, const char *v)
         std::exit(kExitUsage);
     }
     return u;
-}
-
-SchedulerKind
-parseScheduler(const std::string &name)
-{
-    if (name == "nuat")
-        return SchedulerKind::kNuat;
-    if (name == "fcfs")
-        return SchedulerKind::kFcfs;
-    if (name == "frfcfs-open")
-        return SchedulerKind::kFrFcfsOpen;
-    if (name == "frfcfs-close")
-        return SchedulerKind::kFrFcfsClose;
-    if (name == "frfcfs-adaptive")
-        return SchedulerKind::kFrFcfsAdaptive;
-    std::fprintf(stderr,
-                 "nuat_serve: unknown scheduler '%s' (nuat | fcfs | "
-                 "frfcfs-open | frfcfs-close | frfcfs-adaptive)\n",
-                 name.c_str());
-    std::exit(kExitUsage);
 }
 
 void
@@ -197,7 +158,15 @@ main(int argc, char **argv)
         } else if (arg == "--workloads") {
             cfg.experiment.workloads = splitCommas(value());
         } else if (arg == "--scheduler") {
-            cfg.experiment.scheduler = parseScheduler(value());
+            const char *name = value();
+            if (!parseSchedulerKind(name, cfg.experiment.scheduler)) {
+                std::fprintf(stderr,
+                             "nuat_serve: unknown scheduler '%s' (nuat "
+                             "| fcfs | frfcfs-open | frfcfs-close | "
+                             "frfcfs-adaptive)\n",
+                             name);
+                return kExitUsage;
+            }
         } else if (arg == "--pb") {
             cfg.experiment.numPb =
                 static_cast<unsigned>(parseCount(arg, value()));

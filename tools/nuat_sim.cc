@@ -65,43 +65,6 @@ using namespace nuat;
 
 namespace {
 
-std::vector<std::string>
-splitCommas(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char ch : arg) {
-        if (ch == ',') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-        } else {
-            cur += ch;
-        }
-    }
-    if (!cur.empty())
-        out.push_back(cur);
-    return out;
-}
-
-SchedulerKind
-parseScheduler(const std::string &name)
-{
-    if (name == "nuat")
-        return SchedulerKind::kNuat;
-    if (name == "fcfs")
-        return SchedulerKind::kFcfs;
-    if (name == "frfcfs-open")
-        return SchedulerKind::kFrFcfsOpen;
-    if (name == "frfcfs-close")
-        return SchedulerKind::kFrFcfsClose;
-    if (name == "frfcfs-adaptive")
-        return SchedulerKind::kFrFcfsAdaptive;
-    nuat_fatal("unknown scheduler '%s' (nuat | fcfs | frfcfs-open | "
-               "frfcfs-close | frfcfs-adaptive)",
-               name.c_str());
-}
-
 void
 printCsv(const RunResult &r, std::uint64_t seed)
 {
@@ -239,7 +202,13 @@ main(int argc, char **argv)
         if (arg == "--workloads") {
             cfg.workloads = splitCommas(value());
         } else if (arg == "--scheduler") {
-            cfg.scheduler = parseScheduler(value());
+            const char *name = value();
+            if (!parseSchedulerKind(name, cfg.scheduler)) {
+                nuat_fatal("unknown scheduler '%s' (nuat | fcfs | "
+                           "frfcfs-open | frfcfs-close | "
+                           "frfcfs-adaptive)",
+                           name);
+            }
         } else if (arg == "--dram-gen") {
             const char *name = value();
             spec = DramSpec::byName(name);
