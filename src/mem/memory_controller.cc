@@ -103,8 +103,8 @@ MemoryController::attachMetrics(MetricRegistry &registry,
     m.writeqLen =
         &registry.gauge(p + "writeq_len", "write-queue length now");
     registry.addSampleHook([this] {
-        metrics_->readqLen->set(static_cast<double>(readQ_.size()));
-        metrics_->writeqLen->set(static_cast<double>(writeQ_.size()));
+        metrics_->readqLen->set(static_cast<double>(store_.size(false)));
+        metrics_->writeqLen->set(static_cast<double>(store_.size(true)));
     });
     scheduler_->attachMetrics(registry,
                               "sched" + std::to_string(channel) + ".");
@@ -120,7 +120,8 @@ MemoryController::MemoryController(DramDevice &dev,
                    g.channels = config.channels;
                    return g;
                }()),
-      readQ_(config.readQueueCapacity), writeQ_(config.writeQueueCapacity)
+      store_(config.readQueueCapacity, config.writeQueueCapacity,
+             dev.geometry().ranks, dev.geometry().banks)
 {
     nuat_assert(scheduler_ != nullptr);
     nuat_assert(cfg_.writeQueueLowWatermark < cfg_.writeQueueHighWatermark);
@@ -128,9 +129,6 @@ MemoryController::MemoryController(DramDevice &dev,
 
     const unsigned ranks = dev_.geometry().ranks;
     const unsigned banks = dev_.geometry().banks;
-    demand_.reset(ranks, banks);
-    readQ_.attachDemandTracker(&demand_);
-    writeQ_.attachDemandTracker(&demand_);
     slots_.resize(static_cast<std::size_t>(ranks) * banks);
 
     // Out-of-order refresh policies only exist on the REFsb substrate;
@@ -164,8 +162,8 @@ MemoryController::makeContext(Cycle now) const
     SchedContext ctx;
     ctx.now = now;
     ctx.dev = &dev_;
-    ctx.readQLen = readQ_.size();
-    ctx.writeQLen = writeQ_.size();
+    ctx.readQLen = store_.size(false);
+    ctx.writeQLen = store_.size(true);
     ctx.wqHighWatermark = cfg_.writeQueueHighWatermark;
     ctx.wqLowWatermark = cfg_.writeQueueLowWatermark;
     ctx.refreshPolicy = policy_;
@@ -176,20 +174,20 @@ bool
 MemoryController::canAcceptRead(Addr addr) const
 {
     const Addr line = lineAddr(addr);
-    if (writeQ_.findLine(line) || readQ_.findLine(line))
+    if (store_.find(line, true) || store_.find(line, false))
         return true; // forwarded or merged; no new queue slot needed
-    for (const auto &f : inFlight_) {
+    for (const auto &f : inFlight()) {
         if (f.addr == line)
             return true; // merges onto the in-flight access
     }
-    return readQ_.hasRoom();
+    return store_.hasRoom(false);
 }
 
 bool
 MemoryController::canAcceptWrite(Addr addr) const
 {
     const Addr line = lineAddr(addr);
-    return writeQ_.findLine(line) != nullptr || writeQ_.hasRoom();
+    return store_.find(line, true) != nullptr || store_.hasRoom(true);
 }
 
 void
@@ -201,7 +199,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
 
     // Forward from a pending write: the controller already holds the
     // line's data, no DRAM access needed.
-    if (writeQ_.findLine(line)) {
+    if (store_.find(line, true)) {
         ++stats_.readsForwarded;
         ++stats_.readsCompleted;
         NUAT_METRIC(if (metrics_) {
@@ -213,19 +211,19 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
         stats_.readLatencySum += static_cast<double>(cfg_.forwardLatency);
         stats_.readLatencyHist.sample(
             static_cast<double>(cfg_.forwardLatency));
-        inFlight_.push_back(
-            PendingCompletion{now + cfg_.forwardLatency, line, {waiter}});
+        PendingCompletion &f = addCompletion(now + cfg_.forwardLatency, line);
+        f.waiters.push_back(waiter);
         return;
     }
 
     // Merge onto a pending read to the same line.
-    if (Request *pending = readQ_.findLine(line)) {
+    if (Request *pending = store_.find(line, false)) {
         ++stats_.readsMerged;
         NUAT_METRIC(if (metrics_) metrics_->readsMerged->inc());
         pending->waiters.push_back(waiter);
         return;
     }
-    for (auto &f : inFlight_) {
+    for (auto &f : inFlight()) {
         if (f.addr == line) {
             ++stats_.readsMerged;
             NUAT_METRIC(if (metrics_) metrics_->readsMerged->inc());
@@ -234,7 +232,7 @@ MemoryController::enqueueRead(Addr addr, const Waiter &waiter, Cycle now)
         }
     }
 
-    nuat_assert(readQ_.hasRoom(), "(enqueueRead without canAcceptRead)");
+    nuat_assert(store_.hasRoom(false), "(enqueueRead without canAcceptRead)");
     queueRequest(line, false, now).waiters.push_back(waiter);
 }
 
@@ -245,31 +243,20 @@ MemoryController::enqueueWrite(Addr addr, Cycle now)
     const Addr line = lineAddr(addr);
     ++stats_.writesAccepted;
 
-    if (writeQ_.findLine(line)) {
+    if (store_.find(line, true)) {
         ++stats_.writesCoalesced; // last-writer-wins, one DRAM write
         NUAT_METRIC(if (metrics_) metrics_->writesCoalesced->inc());
         return;
     }
 
-    nuat_assert(writeQ_.hasRoom(), "(enqueueWrite without canAcceptWrite)");
+    nuat_assert(store_.hasRoom(true), "(enqueueWrite without canAcceptWrite)");
     queueRequest(line, true, now);
 }
 
 Request &
 MemoryController::queueRequest(Addr line, bool is_write, Cycle now)
 {
-    auto owned = std::make_unique<Request>();
-    Request &req = *owned;
-    req.id = nextRequestId_++;
-    req.isWrite = is_write;
-    req.addr = line;
-    const DramCoord c = mapping_.decompose(line);
-    req.rank = c.rank;
-    req.bank = c.bank;
-    req.row = c.row;
-    req.col = c.col;
-    req.arrivalAt = now;
-    (is_write ? writeQ_ : readQ_).push(std::move(owned));
+    Request &req = store_.push(is_write, line, mapping_.decompose(line), now);
     noteDemandChange(req.rank, req.bank);
 
     // Lower the wake.  The new request can add only its own candidate:
@@ -279,26 +266,36 @@ MemoryController::queueRequest(Addr line, bool is_write, Cycle now)
     // adds none until its verdict flips, which resets the wake.
     BankSlot &s = slotOf(req.rank, req.bank);
     if (!s.wantRefresh) {
-        const Cycle at =
-            dev_.earliestIssueAt(commandFor(req, kindFor(req)));
+        const Cycle at = earliestOfKind(req.rank, req.bank, kindFor(req));
         s.readyAt = std::min(s.readyAt, at);
         wakeAt_ = std::min(wakeAt_, at);
     }
     return req;
 }
 
+MemoryController::PendingCompletion &
+MemoryController::addCompletion(Cycle data_at, Addr line)
+{
+    if (inFlightLen_ == inFlight_.size())
+        inFlight_.emplace_back();
+    PendingCompletion &f = inFlight_[inFlightLen_++];
+    f.dataAt = data_at;
+    f.addr = line;
+    f.waiters.clear();
+    return f;
+}
+
 void
 MemoryController::processCompletions(Cycle now)
 {
-    for (std::size_t i = 0; i < inFlight_.size();) {
+    for (std::size_t i = 0; i < inFlightLen_;) {
         if (inFlight_[i].dataAt <= now) {
             if (readCallback_) {
                 for (const Waiter &w : inFlight_[i].waiters)
                     readCallback_(w, inFlight_[i].addr,
                                   inFlight_[i].dataAt);
             }
-            inFlight_[i] = std::move(inFlight_.back());
-            inFlight_.pop_back();
+            std::swap(inFlight_[i], inFlight_[--inFlightLen_]);
         } else {
             ++i;
         }
@@ -325,7 +322,7 @@ MemoryController::handleRefresh(Cycle now)
         ref.type = CmdType::kRef;
         ref.rank = rank;
         if (dev_.canIssue(ref, now)) {
-            issueCommand(ref, now);
+            issueForRefresh(ref, now);
             return true;
         }
 
@@ -349,7 +346,7 @@ MemoryController::tryRefreshBank(RankId rank, BankId bank, Cycle now)
     refsb.rank = rank;
     refsb.bank = bank;
     if (dev_.canIssue(refsb, now)) {
-        issueCommand(refsb, now);
+        issueForRefresh(refsb, now);
         return true;
     }
     // If the target bank is still busy (tRAS / tRTP / tWR / tREFSBRD),
@@ -366,7 +363,7 @@ MemoryController::tryForcedPre(RankId rank, BankId bank, Cycle now)
     pre.bank = bank;
     if (!dev_.canIssue(pre, now))
         return false; // closed, or the open row is still recovering
-    issueCommand(pre, now);
+    issueForRefresh(pre, now);
     NUAT_METRIC(if (metrics_) metrics_->forcedPre->inc());
     return true;
 }
@@ -390,7 +387,7 @@ MemoryController::wantRefresh(RankId rank, BankId bank, Cycle now) const
     if (refreshForced(rank, bank, now))
         return true;
     // Defer: the bank has queued demand and window to spare.
-    if (demand_.bankDemand(rank, bank) > 0)
+    if (store_.bankDemand(rank, bank) > 0)
         return false;
     // No demand for this bank.  At the nominal deadline, refresh — a
     // fully idle system must keep the in-order cadence (the idle
@@ -401,7 +398,7 @@ MemoryController::wantRefresh(RankId rank, BankId bank, Cycle now) const
     // controller must not refresh early — the fast-forward skips spans
     // where provably nothing happens, and results must be identical
     // with the optimization off.
-    return eng.canPullIn(now) && readQ_.size() + writeQ_.size() != 0;
+    return eng.canPullIn(now) && !store_.empty();
 }
 
 void
@@ -465,9 +462,9 @@ MemoryController::noteDemandChange(RankId rank, BankId bank)
     // leaves the cache exact.
     if (policy_ == RefreshPolicy::kInOrder)
         return;
-    if (readQ_.size() + writeQ_.size() <= 1) {
+    if (store_.size(false) + store_.size(true) <= 1) {
         verdictsUntil_ = 0; // queue emptiness may have flipped
-    } else if (demand_.bankDemand(rank, bank) <= 1) {
+    } else if (store_.bankDemand(rank, bank) <= 1) {
         slotOf(rank, bank).verdictStale = true;
         verdictsStale_ = true;
     }
@@ -579,7 +576,7 @@ MemoryController::walkRequest(Request &req, Cycle now,
     // policies whether a column access is the row's last pending one.
     auto openRowDemand = [&] {
         if (!s.openRowDemandKnown) {
-            s.openRowDemand = demand_.demandFor(
+            s.openRowDemand = store_.demandFor(
                 req.rank, req.bank, dev_.bank(req.rank, req.bank).openRow());
             s.openRowDemandKnown = true;
         }
@@ -594,16 +591,16 @@ MemoryController::walkRequest(Request &req, Cycle now,
     if (kind == kLegalPre && (s.preSeen || openRowDemand() > 0))
         return;
 
-    Candidate cand;
-    cand.cmd = commandFor(req, kind);
     const auto bit = static_cast<std::uint8_t>(1u << kind);
     if (!(s.legalKnown & bit)) {
         s.legalKnown |= bit;
-        s.legalAt[kind] = dev_.earliestIssueAt(cand.cmd);
+        s.legalAt[kind] = earliestOfKind(req.rank, req.bank, kind);
     }
     if (s.legalAt[kind] > now)
         return;
 
+    Candidate cand;
+    cand.cmd = commandFor(req, kind);
     cand.req = &req;
     cand.isWrite = req.isWrite;
     if (kind == kLegalAct) {
@@ -642,12 +639,11 @@ MemoryController::enumerate(Cycle now, std::vector<Candidate> &out)
             if (s.wantRefresh)
                 continue; // draining for refresh
             s.startWalk();
-            for (Request *q = demand_.oldest(RankId{r}, BankId{b}, false);
-                 q; q = q->bankNext)
-                walkRequest(*q, now, out);
-            for (Request *q = demand_.oldest(RankId{r}, BankId{b}, true);
-                 q; q = q->bankNext)
-                walkRequest(*q, now, out);
+            for (bool writes : {false, true}) {
+                for (Request *q = store_.oldest(RankId{r}, BankId{b}, writes);
+                     q; q = q->bankNext)
+                    walkRequest(*q, now, out);
+            }
             for (unsigned k = 0; k < kLegalKinds; ++k) {
                 if (s.legalKnown & (1u << k))
                     s.readyAt = std::min(s.readyAt, s.legalAt[k]);
@@ -696,10 +692,10 @@ MemoryController::checkWalk(Cycle now, const std::vector<Candidate> &cands)
     std::vector<Candidate> ref;
     for (BankSlot &s : slots_)
         s.startWalk();
-    for (const auto &req : readQ_)
-        walkRequest(*req, now, ref);
-    for (const auto &req : writeQ_)
-        walkRequest(*req, now, ref);
+    for (bool writes : {false, true}) {
+        for (Request *req : store_.arrivalOrder(writes))
+            walkRequest(*req, now, ref);
+    }
     nuat_assert(ref.size() == cands.size(),
                 "(bank walk found %zu candidates, queue walk %zu, at "
                 "cycle %llu)",
@@ -725,10 +721,19 @@ MemoryController::issueCommand(const Command &cmd, Cycle now)
 {
     const IssueResult result = dev_.issue(cmd, now);
     scheduler_->onIssue(cmd, makeContext(now));
+    if (isRefreshCmd(cmd.type))
+        verdictsUntil_ = 0; // the refresh schedule moved on
+    NUAT_METRIC(if (metrics_) metrics_->command(cmd.type)->inc());
+    return result;
+}
 
-    // The command changed its bank's state (REF: its rank's), so the
-    // bank's readiness is unknown; every other register it moved only
-    // moved later.
+void
+MemoryController::issueForRefresh(const Command &cmd, Cycle now)
+{
+    issueCommand(cmd, now);
+    // The command changed its bank's state (REF: its rank's) without a
+    // walk of the bank, so the bank's readiness is unknown: walk it at
+    // the next tick.  Every other register it moved only moved later.
     wakeAt_ = 0;
     if (cmd.type == CmdType::kRef) {
         const unsigned banks = dev_.geometry().banks;
@@ -737,56 +742,110 @@ MemoryController::issueCommand(const Command &cmd, Cycle now)
     } else {
         slotOf(cmd.rank, cmd.bank).readyAt = 0;
     }
-    if (isRefreshCmd(cmd.type))
-        verdictsUntil_ = 0; // the refresh schedule moved on
+}
 
-    NUAT_METRIC(if (metrics_) metrics_->command(cmd.type)->inc());
-    return result;
+Cycle
+MemoryController::earliestOfKind(RankId rank, BankId bank,
+                                 LegalKind kind) const
+{
+    // Legality depends on the command type and the bank, never on the
+    // row or column, so one probe stands for every request of the kind.
+    static constexpr CmdType kTypes[kLegalKinds] = {
+        CmdType::kAct, CmdType::kRead, CmdType::kWrite, CmdType::kPre};
+    Command cmd;
+    cmd.type = kTypes[kind];
+    cmd.rank = rank;
+    cmd.bank = bank;
+    return dev_.earliestIssueAt(cmd);
+}
+
+void
+MemoryController::boundWake(RankId rank, BankId bank, Cycle now)
+{
+    const unsigned banks = dev_.geometry().banks;
+    Cycle wake = kNeverCycle;
+    for (unsigned r = 0; r < dev_.geometry().ranks; ++r) {
+        for (unsigned b = 0; b < banks; ++b) {
+            BankSlot &s = slots_[r * banks + b];
+            const RankId sr{r};
+            const BankId sb{b};
+            if (sr == rank && sb == bank) {
+                // The issued bank: its next command is an ACT when
+                // closed, a column access while its open row has
+                // demand (which suppresses every PRE), else a PRE.
+                const BankState &st = dev_.bank(sr, sb);
+                if (store_.bankDemand(sr, sb) == 0) {
+                    s.readyAt = kNeverCycle;
+                } else if (st.isClosed()) {
+                    s.readyAt = earliestOfKind(sr, sb, kLegalAct);
+                } else if (store_.demandFor(sr, sb, st.openRow()) > 0) {
+                    const Cycle rd = earliestOfKind(sr, sb, kLegalRead);
+                    const Cycle wr = earliestOfKind(sr, sb, kLegalWrite);
+                    s.readyAt = std::min(rd, wr);
+                } else {
+                    s.readyAt = earliestOfKind(sr, sb, kLegalPre);
+                }
+            } else if (s.readyAt <= now) {
+                // Walked this tick with a candidate.  Its requests and
+                // state did not change, so a walk now would evaluate
+                // the same command kinds, only against the registers
+                // the issue moved.
+                Cycle at = kNeverCycle;
+                for (unsigned k = 0; k < kLegalKinds; ++k) {
+                    const auto kind = static_cast<LegalKind>(k);
+                    if (s.legalKnown & (1u << k))
+                        at = std::min(at, earliestOfKind(sr, sb, kind));
+                }
+                s.readyAt = at;
+            }
+            wake = std::min(wake, s.readyAt);
+        }
+    }
+    wakeAt_ = wake;
 }
 
 void
 MemoryController::issueCandidate(Candidate &cand, Cycle now)
 {
     const IssueResult result = issueCommand(cand.cmd, now);
+    Request &req = *cand.req;
 
     switch (cand.cmd.type) {
       case CmdType::kAct:
-        cand.req->hadOwnAct = true;
+        req.hadOwnAct = true;
         break;
       case CmdType::kPre:
         break;
       case CmdType::kRead:
       case CmdType::kReadAp: {
-        std::unique_ptr<Request> req = readQ_.remove(cand.req);
-        noteDemandChange(req->rank, req->bank);
+        const Cycle latency = result.dataAt - req.arrivalAt;
         ++stats_.readsCompleted;
-        stats_.readLatencySum +=
-            static_cast<double>(result.dataAt - req->arrivalAt);
-        stats_.readLatencyHist.sample(
-            static_cast<double>(result.dataAt - req->arrivalAt));
+        stats_.readLatencySum += static_cast<double>(latency);
+        stats_.readLatencyHist.sample(static_cast<double>(latency));
         NUAT_METRIC(if (metrics_) {
             metrics_->readsCompleted->inc();
-            metrics_->readLatency->sample(
-                static_cast<double>(result.dataAt - req->arrivalAt));
+            metrics_->readLatency->sample(static_cast<double>(latency));
         });
-        if (!req->hadOwnAct)
+        if (!req.hadOwnAct)
             ++stats_.rowHitReads;
-        inFlight_.push_back(PendingCompletion{result.dataAt, req->addr,
-                                              std::move(req->waiters)});
+        // The slot keeps the spare's vector (and its capacity).
+        addCompletion(result.dataAt, req.addr).waiters.swap(req.waiters);
+        store_.remove(req);
+        noteDemandChange(cand.cmd.rank, cand.cmd.bank);
         break;
       }
       case CmdType::kWrite:
-      case CmdType::kWriteAp: {
-        std::unique_ptr<Request> req = writeQ_.remove(cand.req);
-        noteDemandChange(req->rank, req->bank);
-        if (!req->hadOwnAct)
+      case CmdType::kWriteAp:
+        if (!req.hadOwnAct)
             ++stats_.rowHitWrites;
+        store_.remove(req);
+        noteDemandChange(cand.cmd.rank, cand.cmd.bank);
         break;
-      }
       case CmdType::kRef:
       case CmdType::kRefsb:
         nuat_panic("refresh must not come from the scheduler");
     }
+    boundWake(cand.cmd.rank, cand.cmd.bank, now);
 }
 
 void
@@ -794,13 +853,13 @@ MemoryController::tick(Cycle now)
 {
     confined_.assertOwned("MemoryController");
     ++stats_.tickCycles;
-    stats_.readQOccupancySum += static_cast<double>(readQ_.size());
-    stats_.writeQOccupancySum += static_cast<double>(writeQ_.size());
+    stats_.readQOccupancySum += static_cast<double>(store_.size(false));
+    stats_.writeQOccupancySum += static_cast<double>(store_.size(true));
     NUAT_METRIC(if (metrics_) {
         metrics_->readqOccupancy->sample(
-            static_cast<double>(readQ_.size()));
+            static_cast<double>(store_.size(false)));
         metrics_->writeqOccupancy->sample(
-            static_cast<double>(writeQ_.size()));
+            static_cast<double>(store_.size(true)));
     });
 
     processCompletions(now);
@@ -843,8 +902,7 @@ void
 MemoryController::skipIdle(Cycle now, Cycle cycles)
 {
     confined_.assertOwned("MemoryController");
-    nuat_assert(readQ_.empty() && writeQ_.empty(),
-                "(skipIdle with queued requests)");
+    nuat_assert(store_.empty(), "(skipIdle with queued requests)");
     nuat_assert(nextCompletionAt() >= now + cycles,
                 "(skipIdle across an in-flight completion)");
     // Each skipped cycle would have ticked with empty queues: count it,
@@ -862,7 +920,7 @@ Cycle
 MemoryController::nextCompletionAt() const
 {
     Cycle earliest = kNeverCycle;
-    for (const auto &f : inFlight_) {
+    for (const auto &f : inFlight()) {
         if (f.dataAt < earliest)
             earliest = f.dataAt;
     }
@@ -872,7 +930,7 @@ MemoryController::nextCompletionAt() const
 bool
 MemoryController::idle() const
 {
-    return readQ_.empty() && writeQ_.empty() && inFlight_.empty();
+    return store_.empty() && inFlightLen_ == 0;
 }
 
 double

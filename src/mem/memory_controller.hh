@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "address_mapping.hh"
@@ -30,7 +31,7 @@
 #include "memory_port.hh"
 #include "refresh_policy.hh"
 #include "request.hh"
-#include "request_queues.hh"
+#include "request_store.hh"
 #include "scheduler.hh"
 
 namespace nuat {
@@ -195,15 +196,16 @@ class MemoryController : public MemoryPort
 
     /**
      * Ticks before this cycle skip candidate enumeration: the last
-     * enumeration found no candidate and nothing since can have made
-     * one legal earlier (see DESIGN.md, "Controller tick").  0 when
-     * the next tick enumerates.
+     * enumeration, or the issue that followed it, bounded every bank's
+     * earliest legal command at or after this cycle, and nothing since
+     * can have made one legal earlier (see DESIGN.md, "Controller
+     * tick").  0 when the next tick enumerates.
      */
     Cycle wakeAt() const { return wakeAt_; }
 
     /** Queue occupancies. */
-    std::size_t readQueueLen() const { return readQ_.size(); }
-    std::size_t writeQueueLen() const { return writeQ_.size(); }
+    std::size_t readQueueLen() const { return store_.size(false); }
+    std::size_t writeQueueLen() const { return store_.size(true); }
 
     /** Aggregate statistics. */
     const ControllerStats &stats() const { return stats_; }
@@ -237,6 +239,22 @@ class MemoryController : public MemoryPort
 
     /** Deliver finished reads whose data has arrived by @p now. */
     void processCompletions(Cycle now);
+
+    /** Start tracking a read of @p line whose data arrives at
+     *  @p data_at; its waiters are empty. */
+    PendingCompletion &addCompletion(Cycle data_at, Addr line);
+
+    /** The reads in flight. */
+    std::span<PendingCompletion>
+    inFlight()
+    {
+        return {inFlight_.data(), inFlightLen_};
+    }
+    std::span<const PendingCompletion>
+    inFlight() const
+    {
+        return {inFlight_.data(), inFlightLen_};
+    }
 
     /** Try to advance a due refresh; true if a command slot was used
      *  (or must stay reserved) for refresh this cycle.  Reads the
@@ -330,14 +348,32 @@ class MemoryController : public MemoryPort
      */
     void checkWalk(Cycle now, const std::vector<Candidate> &cands);
 
-    /**
-     * Issue @p cmd and tell the scheduler.  Every command the
-     * controller sends goes through here: it resets the wake and the
-     * readiness of the bank (for REF, the rank) whose state it changed.
-     */
+    /** Issue @p cmd and tell the scheduler.  Every command the
+     *  controller sends goes through here. */
     IssueResult issueCommand(const Command &cmd, Cycle now);
 
-    /** Issue the chosen candidate and retire its request if done. */
+    /**
+     * Issue a forced PRE, REF or REFsb: the refresh path's commands,
+     * which no walk preceded.  Resets the wake and the readiness of the
+     * bank (for REF, the rank) whose state it changed.
+     */
+    void issueForRefresh(const Command &cmd, Cycle now);
+
+    /** Earliest cycle a command of @p kind to (@p rank, @p bank) is
+     *  legal (see DramDevice::earliestIssueAt). */
+    Cycle earliestOfKind(RankId rank, BankId bank, LegalKind kind) const;
+
+    /**
+     * After a scheduler-picked issue to (@p rank, @p bank) at @p now,
+     * re-bound the readiness of that bank (from its new state and
+     * demand) and of every bank this tick's walk found a candidate in
+     * (from the command kinds the walk evaluated), and set the wake to
+     * the earliest bound (see DESIGN.md, "Controller tick").
+     */
+    void boundWake(RankId rank, BankId bank, Cycle now);
+
+    /** Issue the chosen candidate, retire its request if done, and
+     *  bound the wake. */
     void issueCandidate(Candidate &cand, Cycle now);
 
     /** Queue a new request for @p line and lower the wake for it. */
@@ -362,12 +398,19 @@ class MemoryController : public MemoryPort
      */
     Cycle forceMargin_ = 0;
 
-    RequestQueue readQ_;
-    RequestQueue writeQ_;
+    /** Both queues, indexed by line and by bank. */
+    RequestStore store_;
+
+    /**
+     * Reads whose data is still in flight are the first inFlightLen_
+     * entries; the rest are spares whose waiter vectors keep their
+     * capacity, traded for a queued read's when it issues, so steady
+     * state allocates no waiter storage.
+     */
     std::vector<PendingCompletion> inFlight_;
+    std::size_t inFlightLen_ = 0;
     ReadCallback readCallback_;
 
-    std::uint64_t nextRequestId_ = 1;
     ControllerStats stats_;
     std::vector<Candidate> scratch_; //!< reused candidate buffer
 
@@ -386,10 +429,6 @@ class MemoryController : public MemoryPort
     struct CtrlMetrics;
     std::unique_ptr<CtrlMetrics> metrics_;
 
-    /** Row demand and per-bank request lists over both queues,
-     *  maintained on push/remove. */
-    RowDemandTracker demand_;
-
     /**
      * Everything the controller keeps per (rank, bank), indexed
      * rank * banks + bank, in one vector so construction allocates
@@ -405,11 +444,12 @@ class MemoryController : public MemoryPort
         /**
          * No queued request of the bank has a legal command before
          * this cycle; kNeverCycle while the bank has no demand or is
-         * draining for refresh.  Set by the bank's walk; reset by an
-         * issue to the bank (for REF, its rank) and by a verdict flip,
-         * lowered by an arrival.  An issue elsewhere only moves the
-         * device's registers later, so it stays a lower bound across
-         * those.
+         * draining for refresh.  Set by the bank's walk and re-bounded
+         * after a scheduler-picked issue (boundWake); reset by a
+         * refresh-path issue to the bank (for REF, its rank) and by a
+         * verdict flip, lowered by an arrival.  An issue elsewhere only
+         * moves the device's registers later, so it stays a lower bound
+         * across those.
          */
         Cycle readyAt = 0;
 

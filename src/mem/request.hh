@@ -45,8 +45,13 @@ struct Request
      *  (used for row-buffer hit accounting). */
     bool hadOwnAct = false;
 
+    /** True while the request sits in a RequestStore queue; a free
+     *  slot of the store has it false. */
+    bool queued = false;
+
     /** Intrusive links of the bank's per-direction queue list
-     *  (RowDemandTracker), in arrival order; null at either end. */
+     *  (RequestStore), in arrival order; null at either end.  A free
+     *  slot of the store chains the free list through bankNext. */
     Request *bankPrev = nullptr;
     Request *bankNext = nullptr;
 };

@@ -27,14 +27,6 @@ constexpr std::uint64_t kWatchdogPollRounds = 256;
 /** Threaded mode: monitor yields between watchdog polls. */
 constexpr unsigned kWatchdogPollYields = 4096;
 
-/** Recoveries per shard before the watchdog fails the run. */
-constexpr unsigned kWatchdogMaxRecoveries = 3;
-
-/** Ceiling the stall threshold doubles to after a recovery, and clean
- *  polls required before it eases back one halving. */
-constexpr unsigned kWatchdogHysteresisCap = 32;
-constexpr unsigned kWatchdogCleanPolls = 16;
-
 /** The serve view of the experiment: shards are the channels. */
 ExperimentConfig
 serveExperiment(const ServeConfig &cfg)
@@ -121,6 +113,43 @@ admissionVerdict(const ServeConfig &cfg, unsigned cls,
                    : AdmissionVerdict::kRetry;
     }
     nuat_panic("unhandled admission policy");
+}
+
+WatchdogPoll
+watchdogPoll(const WatchdogShard &w, unsigned stallPolls,
+             std::uint64_t heartbeat, bool done)
+{
+    WatchdogPoll p{w, WatchdogAction::kNone};
+    WatchdogShard &n = p.next;
+    if (done)
+        return p;
+    if (heartbeat != n.last) {
+        n.last = heartbeat;
+        n.frozen = 0;
+        if (++n.clean >= kWatchdogCleanPolls) {
+            n.clean = 0;
+            if (n.issued > 0)
+                --n.issued; // a clean stretch earns a recovery back
+            if (n.threshold > stallPolls) {
+                n.threshold = std::max(n.threshold / 2, stallPolls);
+                p.action = WatchdogAction::kEase;
+            }
+        }
+        return p;
+    }
+    n.clean = 0;
+    if (++n.frozen < n.threshold)
+        return p;
+    if (n.issued >= kWatchdogMaxRecoveries) {
+        p.action = WatchdogAction::kGiveUp;
+        return p;
+    }
+    ++n.issued;
+    n.frozen = 0;
+    n.threshold = std::min(n.threshold * 2,
+                           std::max(kWatchdogHysteresisCap, stallPolls));
+    p.action = WatchdogAction::kRecover;
+    return p;
 }
 
 bool
@@ -263,29 +292,16 @@ enum class StepOutcome
 };
 
 /**
- * Watchdog bookkeeping: one rung ladder per shard, mirroring the
- * GuardbandManager hysteresis — a recovery doubles the shard's stall
- * threshold up to a cap, sustained clean polls ease it back one
- * halving at a time.  Owned by the monitor thread (threaded mode) or
- * the driver loop (deterministic mode); read by the merge code only
- * after the join.
+ * The watchdog's per-shard ladders (watchdogPoll) and the atomics it
+ * observes and signals through.  Owned by the monitor thread (threaded
+ * mode) or the driver loop (deterministic mode); read by the merge
+ * code only after the join.
  */
 struct WatchdogMonitor
 {
-    struct PerShard
-    {
-        std::uint64_t last = 0; //!< heartbeat seen at the last poll
-        unsigned frozen = 0;    //!< consecutive frozen polls
-        unsigned threshold = 0; //!< current stall rung (hysteresis)
-        unsigned clean = 0;     //!< consecutive healthy polls
-        unsigned issued = 0;    //!< recovery requests posted
-    };
-
     WatchdogMonitor(unsigned stallPolls, std::size_t n)
-        : stallPolls_(stallPolls), perShard_(n)
+        : stallPolls_(stallPolls), perShard_(n, WatchdogShard(stallPolls))
     {
-        for (PerShard &w : perShard_)
-            w.threshold = stallPolls;
     }
 
     /**
@@ -296,53 +312,42 @@ struct WatchdogMonitor
     bool
     poll(std::deque<ShardState> &shards)
     {
-        const unsigned cap = std::max(kWatchdogHysteresisCap, stallPolls_);
         for (std::size_t i = 0; i < shards.size(); ++i) {
             ShardState &s = shards[i];
-            PerShard &w = perShard_[i];
             // acquire: a finished shard's final counters
             // happen-before this observation.
-            if (s.done.load(std::memory_order_acquire))
-                continue;
+            const bool done = s.done.load(std::memory_order_acquire);
             // relaxed: the heartbeat is a progress gauge; a stale
             // read only delays detection by one poll.
             const std::uint64_t hb =
-                s.heartbeat.load(std::memory_order_relaxed);
-            if (hb != w.last) {
-                w.last = hb;
-                w.frozen = 0;
-                ++w.clean;
-                if (w.clean >= kWatchdogCleanPolls &&
-                    w.threshold > stallPolls_) {
-                    w.threshold = std::max(w.threshold / 2, stallPolls_);
-                    ++easeSteps;
-                    w.clean = 0;
-                }
-                continue;
-            }
-            w.clean = 0;
-            ++w.frozen;
-            if (w.frozen < w.threshold)
-                continue;
-            if (w.issued >= kWatchdogMaxRecoveries) {
+                done ? 0 : s.heartbeat.load(std::memory_order_relaxed);
+            const WatchdogPoll p =
+                watchdogPoll(perShard_[i], stallPolls_, hb, done);
+            perShard_[i] = p.next;
+            switch (p.action) {
+              case WatchdogAction::kNone:
+                break;
+              case WatchdogAction::kEase:
+                ++easeSteps;
+                break;
+              case WatchdogAction::kRecover:
+                // release: the recovery request must not be reordered
+                // ahead of the poll state that justified it.
+                s.recoverReq.store(true, std::memory_order_release);
+                break;
+              case WatchdogAction::kGiveUp:
                 error = "watchdog: shard " + std::to_string(i) +
                         " still frozen after " +
-                        std::to_string(w.issued) +
+                        std::to_string(p.next.issued) +
                         " recoveries; giving up";
                 return false;
             }
-            // release: the recovery request must not be reordered
-            // ahead of the poll state that justified it.
-            s.recoverReq.store(true, std::memory_order_release);
-            ++w.issued;
-            w.frozen = 0;
-            w.threshold = std::min(w.threshold * 2, cap);
         }
         return true;
     }
 
     const unsigned stallPolls_; //!< the initial rung
-    std::vector<PerShard> perShard_;
+    std::vector<WatchdogShard> perShard_;
     std::uint64_t easeSteps = 0;
     std::string error;
 };

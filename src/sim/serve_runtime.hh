@@ -53,10 +53,11 @@
  *    honors it (drain-checkpoint-restart of the stall), the watchdog
  *    doubles that shard's stall threshold (hysteresis, mirroring the
  *    GuardbandManager ladder, up to 32 polls or the initial rung if
- *    higher) and eases it back one halving after 16 clean polls.
- *    Recoveries are capped at 3 per shard; an exhausted shard fails
- *    the run rather than hang it.  These cadences are constants of
- *    the runtime (serve_runtime.cc, `kWatchdog*`), not settings.
+ *    higher) and eases it back one halving after 16 clean polls; the
+ *    same 16 clean polls refund one recovery.  A shard holding 3
+ *    recoveries that freezes again fails the run rather than hang it.
+ *    These cadences are constants of the runtime (`kWatchdog*`), not
+ *    settings; watchdogPoll() is the ladder.
  *
  *  - Chaos injection: a ChaosProfile (src/fault/chaos_profile.hh)
  *    schedules producer burst storms, poisoned requests (shed by the
@@ -216,6 +217,62 @@ struct ServeConfig
 AdmissionVerdict admissionVerdict(const ServeConfig &cfg,
                                   unsigned cls,
                                   std::uint64_t failedAttempts);
+
+/** Recoveries a shard may hold against its budget before the
+ *  watchdog fails the run; every kWatchdogCleanPolls clean polls in a
+ *  row refund one. */
+inline constexpr unsigned kWatchdogMaxRecoveries = 3;
+
+/** Ceiling the stall threshold doubles to after a recovery, and clean
+ *  polls required before it eases back one halving. */
+inline constexpr unsigned kWatchdogHysteresisCap = 32;
+inline constexpr unsigned kWatchdogCleanPolls = 16;
+
+/** One shard's watchdog ladder between polls. */
+struct WatchdogShard
+{
+    explicit WatchdogShard(unsigned stallPolls) : threshold(stallPolls) {}
+
+    std::uint64_t last = 0; //!< heartbeat seen at the last poll
+    unsigned frozen = 0;    //!< consecutive frozen polls
+    unsigned threshold;     //!< current stall rung (hysteresis)
+    unsigned clean = 0;     //!< consecutive healthy polls
+    unsigned issued = 0;    //!< recoveries held against the budget
+};
+
+/** What one watchdog poll decided for one shard. */
+enum class WatchdogAction
+{
+    kNone,    //!< nothing to do
+    kEase,    //!< a clean stretch eased the threshold one halving
+    kRecover, //!< post a recovery request to the shard
+    kGiveUp,  //!< frozen with the budget spent: fail the run
+};
+
+/** A shard's ladder after one poll, and what the poll decided. */
+struct WatchdogPoll
+{
+    WatchdogShard next;
+    WatchdogAction action;
+};
+
+/**
+ * One watchdog poll of one shard, as a function of the ladder @p w and
+ * what the poll observed: the shard's @p heartbeat and whether it is
+ * @p done.  The one definition both execution modes poll with; no
+ * clock or thread enters it, so its cadence is the poll count alone.
+ *
+ * A changed heartbeat is a clean poll; every kWatchdogCleanPolls clean
+ * polls in a row halve the threshold (not below @p stallPolls) and
+ * refund one recovery.  A heartbeat frozen for `threshold` polls posts
+ * a recovery and doubles the threshold (up to kWatchdogHysteresisCap,
+ * or @p stallPolls if higher), unless kWatchdogMaxRecoveries are
+ * already held: then the run fails.  So isolated short freezes
+ * between long clean stretches never spend the budget, and a shard
+ * frozen for good still fails after kWatchdogMaxRecoveries.
+ */
+WatchdogPoll watchdogPoll(const WatchdogShard &w, unsigned stallPolls,
+                          std::uint64_t heartbeat, bool done);
 
 /** Per-priority-class accounting; conservation holds per class. */
 struct ServeClassStats

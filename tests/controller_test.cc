@@ -251,10 +251,73 @@ TEST_F(ControllerTest, ArrivalWakesASleepingController)
     EXPECT_EQ(now_ - 1, expect);
 }
 
+TEST_F(ControllerTest, CandidateIssueBoundsTheWake)
+{
+    // A scheduler-picked issue bounds the wake from the issued bank's
+    // new state instead of resetting it: after the ACT for a lone read
+    // to a closed bank, nothing can issue before the column read's
+    // tRCD, and the read issues exactly there.
+    mc_->enqueueRead(addr(0, 1), waiter(1), 0);
+    mc_->tick(now_++);
+    ASSERT_EQ(dev_->counters().acts, 1u);
+    EXPECT_EQ(mc_->wakeAt(), tp_.tRCD);
+    while (dev_->counters().reads == 0)
+        mc_->tick(now_++);
+    EXPECT_EQ(now_ - 1, tp_.tRCD);
+}
+
+TEST_F(ControllerTest, CandidateIssueRebindsTheBankNotPicked)
+{
+    // Two reads to closed banks of one rank: both ACTs are candidates
+    // and the older one issues.  The other bank had a candidate this
+    // tick, so it is re-bounded from the ACT kind its walk evaluated,
+    // now behind the rank's tRRD gate.
+    mc_->enqueueRead(addr(0, 1), waiter(1), 0);
+    mc_->enqueueRead(addr(1, 1), waiter(2), 0);
+    mc_->tick(now_++);
+    ASSERT_EQ(dev_->counters().acts, 1u);
+    ASSERT_FALSE(dev_->bank(RankId{0}, BankId{0}).isClosed());
+    ASSERT_LT(tp_.tRRD, tp_.tRCD);
+    EXPECT_EQ(mc_->wakeAt(), tp_.tRRD);
+    while (dev_->counters().acts < 2)
+        mc_->tick(now_++);
+    EXPECT_EQ(now_ - 1, tp_.tRRD);
+}
+
+TEST(ControllerWakeTest, OtherRankRebindsToTheCommandBus)
+{
+    // The same with the second read on another rank: no rank gate
+    // applies, so the bank not picked re-bounds to the command bus,
+    // one cycle after the ACT.
+    const CellModel cell;
+    const SenseAmpModel sa(cell);
+    const TimingDerate derate(sa);
+    DramGeometry geom;
+    geom.ranks = 2;
+    DramDevice dev(geom, TimingParams{}, derate);
+    MemoryController mc(
+        dev, std::make_unique<FrFcfsScheduler>(PagePolicy::kOpen));
+    auto addr = [&](unsigned rank, unsigned bank) {
+        DramCoord c;
+        c.rank = RankId{rank};
+        c.bank = BankId{bank};
+        c.row = RowId{1};
+        return mc.mapping().compose(c);
+    };
+    mc.enqueueRead(addr(0, 0), Waiter{}, 0);
+    mc.enqueueRead(addr(1, 0), Waiter{}, 0);
+    mc.tick(0);
+    ASSERT_EQ(dev.counters().acts, 1u);
+    ASSERT_FALSE(dev.bank(RankId{0}, BankId{0}).isClosed());
+    EXPECT_EQ(mc.wakeAt(), 1u);
+    mc.tick(1);
+    EXPECT_FALSE(dev.bank(RankId{1}, BankId{0}).isClosed());
+}
+
 TEST_F(ControllerTest, RefreshPathIssuesResetTheWake)
 {
-    // Every command the controller issues resets the wake, including
-    // the forced PRE and the REF that handleRefresh sends on its own.
+    // The commands handleRefresh sends on its own, the forced PRE and
+    // the REF, follow no walk of their bank, so they reset the wake.
     const Cycle due = dev_->refresh(RankId{0}).nextDueAt();
     runTo(due - 5);
     mc_->enqueueRead(addr(0, 1), waiter(1), now_);

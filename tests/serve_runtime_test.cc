@@ -253,6 +253,102 @@ TEST(ServeRuntime, AdmissionVerdictTable)
     }
 }
 
+/** A stretch of watchdog polls that see one kind of heartbeat. */
+struct PollStretch
+{
+    bool frozen;       //!< the heartbeat stays put (else it advances)
+    unsigned polls;    //!< polls in the stretch
+    bool done = false; //!< the shard has finished
+};
+
+/** What a ladder did over a script of stretches. */
+struct LadderOutcome
+{
+    unsigned recoveries = 0;
+    unsigned eases = 0;
+    unsigned gaveUpAtPoll = 0; //!< 1-based; 0 when it never gave up
+};
+
+LadderOutcome
+runLadder(unsigned stallPolls, const std::vector<PollStretch> &script)
+{
+    WatchdogShard w(stallPolls);
+    std::uint64_t heartbeat = 0;
+    LadderOutcome out;
+    unsigned poll = 0;
+    for (const PollStretch &st : script) {
+        for (unsigned i = 0; i < st.polls; ++i) {
+            ++poll;
+            if (!st.frozen)
+                ++heartbeat;
+            const WatchdogPoll p =
+                watchdogPoll(w, stallPolls, heartbeat, st.done);
+            w = p.next;
+            switch (p.action) {
+              case WatchdogAction::kNone:
+                break;
+              case WatchdogAction::kEase:
+                ++out.eases;
+                break;
+              case WatchdogAction::kRecover:
+                ++out.recoveries;
+                break;
+              case WatchdogAction::kGiveUp:
+                out.gaveUpAtPoll = poll;
+                return out;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(ServeRuntime, WatchdogLadderTable)
+{
+    // The watchdog ladder over scripted heartbeats, no threads.  A
+    // healthy shard that is descheduled now and then (a short freeze
+    // between long clean stretches) must never spend its budget; a
+    // shard frozen for good must still fail after
+    // kWatchdogMaxRecoveries, at the poll the doubling ladder implies.
+    auto repeat = [](std::vector<PollStretch> unit, unsigned times) {
+        std::vector<PollStretch> out;
+        for (unsigned i = 0; i < times; ++i)
+            out.insert(out.end(), unit.begin(), unit.end());
+        return out;
+    };
+    struct Row
+    {
+        const char *name;
+        unsigned stallPolls;
+        std::vector<PollStretch> script;
+        LadderOutcome want;
+    };
+    constexpr unsigned kCap = kWatchdogHysteresisCap;
+    // clang-format off: one case per row
+    const Row rows[] = {
+        {"always healthy", 4, {{false, 1000}}, {0, 0, 0}},
+        {"isolated short freezes", 4,
+         repeat({{true, 4}, {false, 64}}, 10), {10, 10, 0}},
+        {"isolated freezes at the hysteresis cap", kCap,
+         repeat({{true, kCap}, {false, 64}}, 10), {10, 0, 0}},
+        {"frozen for good", 4, {{true, 1000}}, {3, 0, 4 + 8 + 16 + 32}},
+        {"flapping, clean gaps too short to refund", 4,
+         {{true, 4}, {false, 2}, {true, 8}, {false, 2}, {true, 16},
+          {false, 2}, {true, 32}},
+         {3, 0, 4 + 2 + 8 + 2 + 16 + 2 + 32}},
+        {"finished shards are not polled", 4,
+         {{false, 10}, {true, 1000, true}}, {0, 0, 0}},
+    };
+    // clang-format on
+    static_assert(kWatchdogMaxRecoveries == 3,
+                  "the table's give-up polls assume 3 recoveries");
+    for (const Row &row : rows) {
+        const LadderOutcome got = runLadder(row.stallPolls, row.script);
+        EXPECT_EQ(got.recoveries, row.want.recoveries) << row.name;
+        EXPECT_EQ(got.eases, row.want.eases) << row.name;
+        EXPECT_EQ(got.gaveUpAtPoll, row.want.gaveUpAtPoll) << row.name;
+    }
+}
+
 TEST(ServeRuntime, FullRingTerminatesWithError)
 {
     // The old runtime would spin forever pushing at a permanently
